@@ -6,10 +6,15 @@ k-rectangle the rectangle is deleted, so moves that remove and moves that
 do not share one code path through ``reduce_rectangles``.  Rates are exact
 rationals d(cover) / ((n+1) d(state)); each row sums to one.
 
-``stationary`` solves pi P = pi over big rationals: dense exact Gaussian
-elimination for small chains, a CRT/rational-reconstruction solve for large
-ones.  Either way the result is verified exactly against the chain before it
-is returned.
+``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
+the normalized system proposes x; the candidate is round(x_i M_k) / M_k,
+with M_k = prod_j C(2j, j) the conjectured common denominator.  The exact
+check ``_verify_stationary`` (pi sums to one, is positive, and pi P = pi
+over the rationals) is the certificate: only a vector that passes it is
+returned.  A rejected or non-finite candidate costs time, never correctness:
+the exact solvers then run as the fallback, dense rational Gaussian
+elimination for small chains and a CRT/rational-reconstruction solve for
+large ones, and their result must pass the same check.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from coregrowth.partitions import (
     reduce_rectangles,
 )
 from coregrowth.posets import enumerate_bounded, weak_covers_bounded, weak_predecessors_bounded
-from coregrowth.reporting import CONJECTURE, THEOREM, Report
+from coregrowth.reporting import CONJECTURE, THEOREM, InvariantError, Report
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ def build_chain(k: int, engine: str = "tableaux") -> MarkovChain:
             row[ti] = row.get(ti, Fraction(0)) + rate
         total = sum(m.rate for m in out)
         if total != 1:
-            raise AssertionError(f"row of {src!r} sums to {total}, not 1")
+            raise InvariantError(f"row of {src!r} sums to {total}, not 1")
         moves.append(out)
         matrix.append(row)
     return MarkovChain(k, states, moves, matrix)
@@ -166,7 +171,7 @@ def _solve_fraction_gauss(chain: MarkovChain) -> list[Fraction]:
             key=lambda r: abs(a[r][col].numerator) if a[r][col] else -1,
         )
         if not a[piv][col]:
-            raise AssertionError("singular stationary system; chain not irreducible?")
+            raise InvariantError("singular stationary system; chain not irreducible?")
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -254,32 +259,68 @@ def _solve_crt(chain: MarkovChain) -> list[Fraction]:
             continue
         try:
             _verify_stationary(chain, combined)
-        except AssertionError:
+        except InvariantError:
             continue  # modulus still too small; add another prime
         return combined
-    raise AssertionError("stationary solve failed to reconstruct an exact solution")
+    raise InvariantError("stationary solve failed to reconstruct an exact solution")
 
 
 def _verify_stationary(chain: MarkovChain, pi: list[Fraction]) -> None:
     if sum(pi) != 1:
-        raise AssertionError("stationary vector does not sum to 1")
+        raise InvariantError("stationary vector does not sum to 1")
     if any(v <= 0 for v in pi):
-        raise AssertionError("stationary vector has a non-positive entry")
+        raise InvariantError("stationary vector has a non-positive entry")
     inflow = [Fraction(0)] * chain.size
     for i, row in enumerate(chain.matrix):
         for j, rate in row.items():
             inflow[j] += pi[i] * rate
     if inflow != pi:
-        raise AssertionError("pi P != pi")
+        raise InvariantError("pi P != pi")
+
+
+def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
+    """round(x M_k) / M_k for the float64 solution x of the normalized system.
+
+    Same system as the exact solvers: the balance equation of state 0 is
+    replaced by sum pi = 1.  None when the solve fails or is not finite.
+    """
+    import numpy as np
+
+    n = chain.size
+    a = np.zeros((n, n))
+    a[0] = 1.0
+    for i, row in enumerate(chain.matrix):
+        for j, rate in row.items():
+            if j:
+                a[j, i] += float(rate)
+    a[range(1, n), range(1, n)] -= 1.0
+    b = np.zeros(n)
+    b[0] = 1.0
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    mk = mk_constant(chain.k)
+    scaled = np.rint(x * float(mk))
+    if not np.isfinite(scaled).all():
+        return None
+    return [Fraction(int(v), mk) for v in scaled]
 
 
 GAUSS_LIMIT = 150
 
 
 def stationary(chain: MarkovChain) -> StationaryDistribution:
-    """Exact stationary distribution, verified by direct multiplication."""
+    """Exact stationary distribution, certified by direct multiplication."""
     if not is_irreducible(chain):
-        raise AssertionError("chain is not irreducible")
+        raise InvariantError("chain is not irreducible")
+    candidate = _float_candidate(chain)
+    if candidate is not None:
+        try:
+            _verify_stationary(chain, candidate)
+            return StationaryDistribution(chain, candidate)
+        except InvariantError:
+            pass  # a wrong candidate costs time only: solve exactly
     if chain.size <= GAUSS_LIMIT:
         pi = _solve_fraction_gauss(chain)
     else:
@@ -300,14 +341,6 @@ def rho_vector(chain: MarkovChain, pi: StationaryDistribution) -> list[Fraction]
     return out
 
 
-def rho(k: int, i: int) -> Fraction:
-    """Rectangle rate of one type, from a fresh exact solve."""
-    if not 1 <= i <= k:
-        raise ValueError(f"rectangle type {i} out of range for k={k}")
-    mc = build_chain(k)
-    return rho_vector(mc, stationary(mc))[i - 1]
-
-
 def k_plancherel(k: int, n: int) -> dict[Parts, Fraction]:
     """The measure w * d / n! on k-bounded partitions of n; sums to one."""
     out = {}
@@ -319,7 +352,7 @@ def k_plancherel(k: int, n: int) -> dict[Parts, Fraction]:
         )
     total = sum(out.values())
     if total != 1:
-        raise AssertionError(f"measure sums to {total}, not 1")
+        raise InvariantError(f"measure sums to {total}, not 1")
     return out
 
 

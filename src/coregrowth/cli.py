@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -73,25 +74,44 @@ def _cache_dir(args) -> str | None:
     return args.cache or os.environ.get(CACHE_ENV)
 
 
+class CacheError(Exception):
+    """A dimension-table cache file that cannot be read or written."""
+
+
 def _load_dim_cache(k: int, cache: str | None) -> str | None:
     if not cache:
         return None
     path = os.path.join(cache, f"dimtable_k{k}.json")
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            dimensions.load_dimension_table(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                dimensions.load_dimension_table(fh.read(), k)
+        except (OSError, ValueError) as exc:
+            raise CacheError(f"cache file {path}: {exc}; delete it to rebuild") from exc
     return path
 
 
 def _save_dim_cache(k: int, path: str | None) -> None:
+    """Write the table through a temporary file, so readers never see half of it."""
     if not path:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     table = dimensions._TABLES.get(k)
     if table is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dimensions.dimension_table_json(k, table.max_level))
+    text = dimensions.dimension_table_json(k, table.max_level)
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dimtable_", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CacheError(f"cache file {path}: {exc}") from exc
 
 
 def cmd_dims(args) -> int:
@@ -199,6 +219,7 @@ def cmd_simulate(args) -> int:
             if args.svg:
                 outputs["svg"] = args.svg
             config = simulate.SimConfig(k=args.k, n=args.n, seed=args.seed, outputs=outputs)
+            config.validate()
     except (OSError, simulate.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -360,6 +381,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CacheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except AssertionError as exc:
         print(f"hard assertion failed: {exc}", file=sys.stderr)
         return EXIT_HARD_FAIL

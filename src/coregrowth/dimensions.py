@@ -35,7 +35,7 @@ from coregrowth.partitions import (
     core_to_bounded,
     multiplicities,
 )
-from coregrowth.posets import cores_of_level, contains, skew_components
+from coregrowth.posets import cores_of_level, contains, enumerate_bounded, skew_components
 
 Pair = tuple[int, int]
 
@@ -215,14 +215,6 @@ def strong_dim_tableaux(parts: Parts, k: int) -> int:
     return table[bounded_to_core(parts, k)]
 
 
-def strong_dim(parts: Parts, k: int, engine: str = "tableaux") -> int:
-    if engine == "tableaux":
-        return strong_dim_tableaux(parts, k)
-    if engine == "raising":
-        return strong_dim_raising(parts, k)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def dimension_table_json(k: int, max_size: int) -> str:
     table = dimension_table(k, max_size)
     values = {
@@ -236,18 +228,38 @@ def dimension_table_json(k: int, max_size: int) -> str:
     )
 
 
-def load_dimension_table(text: str) -> int:
-    """Merge a serialized table into the in-memory cache; returns its k."""
-    obj = json.loads(text)
-    if obj.get("format") != DIMTABLE_FORMAT:
-        raise ValueError(f"unsupported dimension table format: {obj.get('format')!r}")
-    k = int(obj["k"])
+def load_dimension_table(text: str, k: int) -> None:
+    """Merge a serialized table for ``k`` into the in-memory cache.
+
+    Raises ValueError, before merging anything, when the text is not JSON,
+    has another format, is for another k, holds malformed entries or lacks
+    a partition of a size up to the ``max_size`` it claims.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc})") from exc
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != DIMTABLE_FORMAT:
+        raise ValueError(f"unsupported dimension table format: {fmt!r}")
+    if obj.get("k") != k:
+        raise ValueError(f"table is for k={obj.get('k')!r}, expected k={k}")
+    try:
+        max_size = int(obj["max_size"])
+        values = {
+            tuple(int(x) for x in key.split(",")) if key else (): int(val)
+            for key, val in obj["values"].items()
+        }
+        entries = {bounded_to_core(parts, k): d for parts, d in values.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed dimension table: {exc!r}") from exc
+    for n in range(max_size + 1):
+        missing = next((b for b in enumerate_bounded(k, n) if b not in values), None)
+        if missing is not None:
+            raise ValueError(f"table claims sizes up to {max_size} but lacks {missing!r}")
     table = _TABLES.setdefault(k, _DimTable(k))
-    for key, val in obj["values"].items():
-        parts = tuple(int(x) for x in key.split(",")) if key else ()
-        table.by_core[bounded_to_core(parts, k)] = int(val)
-    table.max_level = max(table.max_level, int(obj["max_size"]))
-    return k
+    table.by_core.update(entries)
+    table.max_level = max(table.max_level, max_size)
 
 
 # --- triangle operator calculus ------------------------------------------

@@ -1,7 +1,8 @@
 """Structured PASS/FAIL records shared by the verifier suites.
 
 Theorem-grade checks must pass (a FAIL is a bug and flips exit codes);
-conjecture-grade checks are findings and never affect exit codes.
+conjecture-grade checks are findings and never affect exit codes.  A broken
+structural invariant raises ``InvariantError`` instead of returning a record.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from typing import Any
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
 PROPERTY = "property"
+
+
+class InvariantError(AssertionError):
+    """A structural invariant failed: the computation is wrong, not the input.
+
+    Raised explicitly, so it survives ``python -O``; an ``AssertionError``
+    subclass, so the CLI maps it to exit code 1.
+    """
 
 
 @dataclass

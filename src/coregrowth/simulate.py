@@ -15,8 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from coregrowth import chain as chain_mod
 from coregrowth import dimensions
@@ -31,7 +30,10 @@ from coregrowth.partitions import (
     reduce_rectangles,
 )
 from coregrowth.posets import enumerate_bounded, weak_covers_bounded
-from coregrowth.reporting import THEOREM, Report
+from coregrowth.reporting import THEOREM, InvariantError, Report
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where used: the CLI loads this module eagerly
 
 
 class ConfigError(ValueError):
@@ -64,24 +66,33 @@ class SimConfig:
         for key in ("k", "n"):
             if key not in obj:
                 raise ConfigError(f"config key {key!r} is required")
-        cfg = SimConfig(
-            k=int(obj["k"]),
-            n=int(obj["n"]),
-            seed=int(obj.get("seed", 0)),
-            checkpoint_every=int(obj.get("checkpoint_every", 0)),
-            boundary_samples=int(obj.get("boundary_samples", 2000)),
-            outputs=dict(obj.get("outputs", {})),
-        )
-        if cfg.k < 2:
+        try:
+            cfg = SimConfig(
+                k=int(obj["k"]),
+                n=int(obj["n"]),
+                seed=int(obj.get("seed", 0)),
+                checkpoint_every=int(obj.get("checkpoint_every", 0)),
+                boundary_samples=int(obj.get("boundary_samples", 2000)),
+                outputs=dict(obj.get("outputs", {})),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
+        cfg.validate()
+        return cfg
+
+    def validate(self) -> None:
+        """Raise ConfigError unless the run is well defined."""
+        if self.k < 2:
             raise ConfigError("k must be at least 2")
-        if cfg.n < 1:
+        if self.n < 1:
             raise ConfigError("n must be positive")
-        if cfg.checkpoint_every < 0 or cfg.boundary_samples < 2:
+        if self.checkpoint_every < 0 or self.boundary_samples < 2:
             raise ConfigError("checkpoint_every must be >= 0 and boundary_samples >= 2")
-        bad = set(cfg.outputs) - OUTPUT_KEYS
+        bad = set(self.outputs) - OUTPUT_KEYS
         if bad:
             raise ConfigError(f"unknown output keys: {sorted(bad)} (known: {sorted(OUTPUT_KEYS)})")
-        return cfg
+        if not all(isinstance(path, str) for path in self.outputs.values()):
+            raise ConfigError("output paths must be strings")
 
 
 @dataclass
@@ -113,7 +124,8 @@ def _sampling_tables(mc: chain_mod.MarkovChain):
         tables.append(rows)
         for m in moves:
             area = rectangle_area(m.removed, mc.k) if m.removed else 0
-            assert sum(m.target) == sum(m.source) + 1 - area
+            if sum(m.target) != sum(m.source) + 1 - area:
+                raise InvariantError(f"move {m.source!r} -> {m.target!r} does not conserve boxes")
     return tables
 
 
@@ -131,6 +143,8 @@ class Stepper:
     """
 
     def __init__(self, k: int, seed: int = 0):
+        import numpy as np
+
         self.k = k
         self._mc = chain_mod.build_chain(k)
         self._tables = _sampling_tables(self._mc)
@@ -170,6 +184,8 @@ class Stepper:
 
 
 def run_simulation(config: SimConfig) -> SimResult:
+    import numpy as np
+
     k = config.k
     mc = chain_mod.build_chain(k)
     tables = _sampling_tables(mc)
@@ -230,11 +246,14 @@ def _assert_conserved(n: int, reduced_size: int, ledger, k: int) -> None:
     total = reduced_size + sum(
         c * rectangle_area(i + 1, k) for i, c in enumerate(ledger)
     )
-    assert total == n, f"box conservation violated: {total} != {n}"
+    if total != n:
+        raise InvariantError(f"box conservation violated: {total} != {n}")
 
 
 def spawn_seeds(seed: int, trajectories: int) -> list[int]:
     """Independent child seeds for parallel trajectories."""
+    import numpy as np
+
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trajectories)]
 
 
@@ -325,6 +344,8 @@ def limit_curve_vertices(k: int, gamma: float = 1.0) -> list[tuple[float, float]
 
 
 def _distances_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     best = np.full(len(points), np.inf)
     for a, b in zip(vertices[:-1], vertices[1:]):
         d = b - a
@@ -346,6 +367,8 @@ def compare_to_limit(boundary_pts, k: int) -> tuple[float, float, float]:
     points to the fitted curve.  Both deviation metrics are reported because
     no convergence metric is canonical here.
     """
+    import numpy as np
+
     pts = np.asarray(boundary_pts, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty boundary")
@@ -371,11 +394,6 @@ def compare_to_limit(boundary_pts, k: int) -> tuple[float, float, float]:
     gamma = (a + b) / 2.0
     dist = _distances_to_polyline(pts, gamma * base)
     return gamma, float(dist.max()), float(np.mean(dist**2))
-
-
-def empirical_rho(k: int, n: int, seed: int) -> np.ndarray:
-    """Ledger counts over n after an n-step seeded run."""
-    return run_simulation(SimConfig(k=k, n=n, seed=seed)).rho_hat
 
 
 # --- projection consistency --------------------------------------------------

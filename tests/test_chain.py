@@ -4,8 +4,10 @@ from math import comb, factorial
 
 import pytest
 
+from coregrowth import chain as chain_mod
 from coregrowth.chain import (
     MarkovChain,
+    _float_candidate,
     _solve_crt,
     _solve_fraction_gauss,
     build_chain,
@@ -246,10 +248,63 @@ def test_row_sums_exact():
             assert sum(row.values()) == 1
 
 
-def test_rho_single_type():
-    from coregrowth.chain import rho
+def record_certificates(monkeypatch) -> list:
+    """Replace the certificate by a wrapper that records every vector it checks."""
+    calls = []
+    check = chain_mod._verify_stationary
 
-    assert rho(3, 1) == Fraction(1, 10)
-    assert rho(3, 2) == Fraction(1, 10)
-    with pytest.raises(ValueError):
-        rho(3, 4)
+    def recording(chain, pi):
+        calls.append(list(pi))
+        check(chain, pi)
+
+    monkeypatch.setattr(chain_mod, "_verify_stationary", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "k, exact",
+    [(k, _solve_fraction_gauss) for k in (2, 3, 4)] + [(k, _solve_crt) for k in (4, 5)],
+)
+def test_certified_candidate_equals_exact_solve(k, exact, monkeypatch):
+    mc = build_chain(k)
+    expected = exact(mc)
+    assert _float_candidate(mc) == expected
+    # stationary accepts the candidate on the first certificate, with no exact solve
+    calls = record_certificates(monkeypatch)
+    for name in ("_solve_fraction_gauss", "_solve_crt"):
+        monkeypatch.setattr(chain_mod, name, None)
+    assert stationary(mc).values == expected
+    assert calls == [expected]
+
+
+@pytest.mark.parametrize("gauss_limit", [chain_mod.GAUSS_LIMIT, 0], ids=["gauss", "crt"])
+def test_wrong_scale_candidate_falls_back(chain4, monkeypatch, gauss_limit):
+    mc, pi = chain4
+    calls = record_certificates(monkeypatch)
+    monkeypatch.setattr(chain_mod, "mk_constant", lambda k: 7)
+    monkeypatch.setattr(chain_mod, "GAUSS_LIMIT", gauss_limit)
+    assert stationary(mc).values == pi.values
+    assert all(v.denominator in (1, 7) for v in calls[0])  # the rejected candidate
+    assert calls[-1] == pi.values  # the fallback's result, certified again
+    if gauss_limit:
+        assert len(calls) == 2
+    else:
+        assert len(calls) >= 3  # the CRT solver also certifies its reconstructions
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_failed_float_solve_falls_back(chain4, monkeypatch, failure):
+    import numpy as np
+
+    def solve(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(b), np.nan)
+
+    mc, pi = chain4
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert _float_candidate(mc) is None
+    calls = record_certificates(monkeypatch)
+    assert stationary(mc).values == pi.values
+    assert calls == [pi.values]
+

@@ -118,3 +118,48 @@ def test_verify_theorems_suite_k3(capsys):
     assert run_cli("verify", "--k", "3", "--suite", "theorems") == 0
     out = capsys.readouterr().out
     assert "[PASS] (theorem)" in out and "0 hard failures" in out
+
+
+def test_simulate_flags_are_validated(capsys):
+    assert run_cli("simulate", "--k", "2", "--n", "0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n must be positive" in err
+    assert run_cli("simulate", "--k", "1", "--n", "10") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (lambda good: good[: len(good) // 2], "not valid JSON"),
+        (lambda good: good.replace("coregrowth.dimtable.v1", "other.v9"), "format"),
+        (lambda good: good.replace('"k": 3', '"k": 4'), "k=4"),
+        (lambda good: '{"format": "coregrowth.dimtable.v1", "k": 3}', "max_size"),
+        (lambda good: good.replace('"2,1": "2", ', ""), "lacks (2, 1)"),
+    ],
+    ids=["truncated", "wrong-format", "wrong-k", "missing-keys", "missing-value"],
+)
+def test_bad_cache_file_is_a_usage_error(tmp_path, capsys, content, message):
+    cache = tmp_path / "cache"
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
+    path = cache / "dimtable_k3.json"
+    path.write_text(content(path.read_text()))
+    capsys.readouterr()
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and message in err
+
+
+def test_cache_file_is_replaced_whole(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
+    assert run_cli("--cache", str(cache), "chain", "--k", "3") == 0
+    assert [p.name for p in cache.iterdir()] == ["dimtable_k3.json"]
+    assert json.loads((cache / "dimtable_k3.json").read_text())["max_size"] >= 5
+
+
+def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    assert run_cli("--cache", str(not_a_dir), "dims", "--k", "3", "2,1") == 2
+    assert capsys.readouterr().err.startswith("error: cache file")

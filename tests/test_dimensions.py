@@ -251,8 +251,10 @@ def test_long_column_vanishing():
 
 def test_dimension_table_json_round_trip():
     text = dimension_table_json(3, 6)
-    assert load_dimension_table(text) == 3
+    load_dimension_table(text, 3)
     assert '"2,1,1": "6"' in text
+    with pytest.raises(ValueError, match="expected k=4"):
+        load_dimension_table(text, 4)
 
 
 def test_engine_equivalence_k5_full():

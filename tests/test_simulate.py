@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from coregrowth.simulate import (
     boundary_csv,
     compare_to_limit,
     core_parts_from_frontiers,
-    empirical_rho,
     initial_frontiers,
     limit_curve_vertices,
     occupancy_csv,
@@ -37,6 +40,12 @@ def test_config_parsing():
         SimConfig.from_json('{"k": 3, "n": 10, "outputs": {"bogus": "x"}}')
     with pytest.raises(ConfigError):
         SimConfig.from_json("not json")
+    with pytest.raises(ConfigError):
+        SimConfig.from_json('{"k": "three", "n": 10}')
+    with pytest.raises(ConfigError):
+        SimConfig.from_json('{"k": 3, "n": 10, "outputs": {"svg": 5}}')
+    with pytest.raises(ConfigError):
+        SimConfig(k=2, n=0).validate()
 
 
 def test_projection_consistency():
@@ -100,12 +109,6 @@ def test_determinism_and_seed_sensitivity():
     assert a.checkpoints == b.checkpoints
     assert boundary_csv(a.boundary) == boundary_csv(b.boundary)
     assert not np.array_equal(a.occupancy, c.occupancy)
-
-
-def test_empirical_rho_short_run():
-    rho = empirical_rho(3, 30_000, seed=11)
-    assert rho.shape == (3,)
-    assert np.all(np.abs(rho - 0.1) < 0.02)
 
 
 def test_occupancy_tracks_pi_roughly():
@@ -207,3 +210,21 @@ def test_stepper_replays_bulk_runner():
     assert tuple(stepper.ledger) == bulk.ledger
     assert tuple(stepper.frontiers) == bulk.frontiers
     assert stepper.n == 500
+
+
+def test_conservation_check_survives_optimize_flag():
+    script = (
+        "from coregrowth.reporting import InvariantError\n"
+        "from coregrowth.simulate import _assert_conserved\n"
+        "try:\n"
+        "    _assert_conserved(10, 1, [1, 0, 0], 3)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: box conservation violated: 4 != 10")
