@@ -12,9 +12,11 @@ with M_k = prod_j C(2j, j) the conjectured common denominator.  The exact
 check ``_verify_stationary`` (pi sums to one, is positive, and pi P = pi
 over the rationals) is the certificate: only a vector that passes it is
 returned.  A rejected or non-finite candidate costs time, never correctness:
-the exact solvers then run as the fallback, dense rational Gaussian
-elimination for small chains and a CRT/rational-reconstruction solve for
-large ones, and their result must pass the same check.
+the exact fallback then solves the system modulo several word-sized primes,
+combines the residues by CRT and rationally reconstructs pi, adding primes
+until the reconstruction passes the same check.  Dense rational Gaussian
+elimination (``_solve_fraction_gauss``) is kept only as the reference that
+the tests compare the CRT solve against.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, gcd, isqrt
-from typing import Callable
 
 from coregrowth import dimensions
 from coregrowth.partitions import (
     Parts,
+    bounded_to_core,
     complement,
     enumerate_reduced_states,
     factorial_index,
@@ -37,7 +39,13 @@ from coregrowth.partitions import (
     rectangle_area,
     reduce_rectangles,
 )
-from coregrowth.posets import enumerate_bounded, weak_covers_bounded, weak_predecessors_bounded
+from coregrowth.posets import (
+    enumerate_bounded,
+    grown_column,
+    weak_covers_bounded,
+    weak_dim,
+    weak_predecessors_bounded,
+)
 from coregrowth.reporting import CONJECTURE, THEOREM, InvariantError, Report
 
 
@@ -47,7 +55,6 @@ class Move:
 
     source: Parts
     column: int
-    cover: Parts  # bounded partition before rectangle reduction
     target: Parts
     removed: int | None  # rectangle type deleted by this move, if any
     rate: Fraction
@@ -81,43 +88,25 @@ class StationaryDistribution:
         return self.values[self.chain.state_index(parts)]
 
 
-def _grown_column(before: Parts, after: Parts) -> int:
-    if len(after) > len(before):
-        return 1
-    for a, b in zip(before, after):
-        if b != a:
-            return b
-    raise ValueError("cover equals state")
-
-
-def build_chain(k: int, engine: str = "tableaux") -> MarkovChain:
+def build_chain(k: int) -> MarkovChain:
     """Assemble the exact transition structure on all k! reduced states."""
     if k < 2:
         raise ValueError("the finite chain needs k >= 2")
     states = enumerate_reduced_states(k)
-    if engine == "tableaux":
-        max_size = max(sum(s) for s in states) + 1
-        table = dimensions.dimension_table(k, max_size)
-        from coregrowth.partitions import bounded_to_core
-
-        dim: Callable[[Parts], int] = lambda p: table[bounded_to_core(p, k)]
-    else:
-        dim = lambda p: dimensions.strong_dim_raising(p, k)
-
+    max_size = max(sum(s) for s in states) + 1
+    table = dimensions.dimension_table(k, max_size)
     moves: list[list[Move]] = []
     matrix: list[dict[int, Fraction]] = []
     for src in states:
         n = sum(src)
-        d_src = dim(src)
+        d_src = table[bounded_to_core(src, k)]
         row: dict[int, Fraction] = {}
         out = []
         for cover in weak_covers_bounded(src, k):
             target, ledger = reduce_rectangles(cover, k)
             removed = next((i + 1 for i, c in enumerate(ledger) if c), None)
-            rate = Fraction(dim(cover), (n + 1) * d_src)
-            out.append(
-                Move(src, _grown_column(src, cover), cover, target, removed, rate)
-            )
+            rate = Fraction(table[bounded_to_core(cover, k)], (n + 1) * d_src)
+            out.append(Move(src, grown_column(src, cover), target, removed, rate))
             ti = factorial_index(target, k)
             row[ti] = row.get(ti, Fraction(0)) + rate
         total = sum(m.rate for m in out)
@@ -152,7 +141,11 @@ def is_irreducible(chain: MarkovChain) -> bool:
 # --- exact linear solve ---------------------------------------------------
 
 def _solve_fraction_gauss(chain: MarkovChain) -> list[Fraction]:
-    """Dense exact elimination on (P^T - I) with a normalization row."""
+    """Dense exact elimination on (P^T - I) with a normalization row.
+
+    Not called by ``stationary``: the tests use it as the independent
+    reference that ``_solve_crt`` must reproduce.
+    """
     n = chain.size
     a = [[Fraction(0)] * (n + 1) for _ in range(n)]
     for j in range(n):
@@ -234,6 +227,10 @@ def _rational_reconstruct(residue: int, modulus: int) -> Fraction | None:
 
 
 def _solve_crt(chain: MarkovChain) -> list[Fraction]:
+    """Exact pi from residues modulo growing sets of primes.
+
+    Returns only a vector that passed ``_verify_stationary``.
+    """
     residues: list[list[int]] = []
     primes_used: list[int] = []
     for p in _PRIMES:
@@ -307,9 +304,6 @@ def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
     return [Fraction(int(v), mk) for v in scaled]
 
 
-GAUSS_LIMIT = 150
-
-
 def stationary(chain: MarkovChain) -> StationaryDistribution:
     """Exact stationary distribution, certified by direct multiplication."""
     if not is_irreducible(chain):
@@ -321,12 +315,7 @@ def stationary(chain: MarkovChain) -> StationaryDistribution:
             return StationaryDistribution(chain, candidate)
         except InvariantError:
             pass  # a wrong candidate costs time only: solve exactly
-    if chain.size <= GAUSS_LIMIT:
-        pi = _solve_fraction_gauss(chain)
-    else:
-        pi = _solve_crt(chain)
-    _verify_stationary(chain, pi)
-    return StationaryDistribution(chain, pi)
+    return StationaryDistribution(chain, _solve_crt(chain))
 
 
 # --- rectangle rates and the k-Plancherel family --------------------------
@@ -345,8 +334,6 @@ def k_plancherel(k: int, n: int) -> dict[Parts, Fraction]:
     """The measure w * d / n! on k-bounded partitions of n; sums to one."""
     out = {}
     for lam in enumerate_bounded(k, n):
-        from coregrowth.posets import weak_dim
-
         out[lam] = Fraction(
             weak_dim(lam, k) * dimensions.strong_dim_tableaux(lam, k), factorial(n)
         )
@@ -563,8 +550,6 @@ def verify_stationarity_identity(k: int, n: int) -> Report:
 def verify_normalization(k: int, n_max: int) -> Report:
     """Sum of w * d over k-bounded partitions of n equals n!."""
     bad = None
-    from coregrowth.posets import weak_dim
-
     for n in range(1, n_max + 1):
         total = sum(
             weak_dim(lam, k) * dimensions.strong_dim_tableaux(lam, k)

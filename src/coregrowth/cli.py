@@ -224,13 +224,9 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
-    try:
-        result = simulate.run_simulation(config)
-        pi = chain_mod.stationary(chain_mod.build_chain(config.k))
-        written = simulate.write_outputs(result, pi)
-    except AssertionError as exc:
-        print(f"hard assertion failed: {exc}", file=sys.stderr)
-        return EXIT_HARD_FAIL
+    result = simulate.run_simulation(config)
+    pi = chain_mod.stationary(chain_mod.build_chain(config.k))
+    written = simulate.write_outputs(result, pi)
     print(
         "k=%d n=%d seed=%d  gamma=%.6g sup_dev=%.4g mean_sq=%.4g"
         % (
@@ -378,6 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A multi-threaded BLAS makes the small float solve in chain.stationary
+    # tens of times slower on a few cores; a value the user set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

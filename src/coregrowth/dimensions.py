@@ -163,13 +163,13 @@ SUBSET_LIMIT = 22
 
 
 @cache
-def strong_dim_raising(parts: Parts, k: int, subset_limit: int = SUBSET_LIMIT) -> int:
+def strong_dim_raising(parts: Parts, k: int) -> int:
     """Dimension via the raising-operator expansion."""
     parts = check_k_bounded(parts, k)
     if not parts:
         return 1
     t_size = sum(k - p for p in parts)
-    if t_size <= subset_limit:
+    if t_size <= SUBSET_LIMIT:
         return _dim_by_subsets(parts, k)
     return _dim_by_convolution(parts, k)
 

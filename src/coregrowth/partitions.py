@@ -14,7 +14,6 @@ vector satisfies l_i <= k-i.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from math import factorial
 
@@ -211,40 +210,3 @@ def enumerate_reduced_states(k: int) -> tuple[Parts, ...]:
 def maximal_state(k: int) -> Parts:
     """The largest reduced state, with l_i = k-i throughout."""
     return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))
-
-
-# --- JSON wire helpers -------------------------------------------------
-
-def parts_to_json(parts: Parts) -> str:
-    return json.dumps(list(parts))
-
-
-def parts_from_json(text: str) -> Parts:
-    return check_partition(json.loads(text)) if json.loads(text) else EMPTY
-
-
-def core_to_json(parts: Parts, r: int) -> str:
-    return json.dumps({"r": r, "parts": list(parts)})
-
-
-def core_from_json(text: str) -> tuple[Parts, int]:
-    obj = json.loads(text)
-    parts = tuple(obj["parts"])
-    if parts and not is_core(parts, obj["r"]):
-        raise ValueError(f"{parts!r} is not a {obj['r']}-core")
-    return parts, int(obj["r"])
-
-
-def reduced_state_to_json(parts: Parts, k: int) -> str:
-    return json.dumps(
-        {"k": k, "parts": list(parts), "l": list(multiplicities(parts, k))}
-    )
-
-
-def reduced_state_from_json(text: str) -> tuple[Parts, int]:
-    obj = json.loads(text)
-    k = int(obj["k"])
-    parts = check_reduced(tuple(obj["parts"]), k)
-    if "l" in obj and tuple(obj["l"]) != multiplicities(parts, k):
-        raise ValueError("multiplicity vector does not match parts")
-    return parts, k

@@ -18,7 +18,6 @@ from coregrowth.partitions import (
     Parts,
     bounded_to_core,
     check_k_bounded,
-    conjugate,
     core_to_bounded,
     is_core,
     k_conjugate,
@@ -103,7 +102,7 @@ def weak_covers_core(parts: Parts, k: int) -> list[tuple[int, Parts]]:
     return covers
 
 
-def _grown_column(before: Parts, after: Parts) -> int:
+def grown_column(before: Parts, after: Parts) -> int:
     """Column of the single box added between two bounded partitions."""
     if len(after) > len(before):
         return 1
@@ -204,35 +203,3 @@ def strong_covers(parts: Parts, k: int) -> tuple[StrongCover, ...]:
         if contains(kappa, parts):
             out.append(StrongCover(parts, kappa, skew_components(kappa, parts)))
     return tuple(out)
-
-
-def strong_covers_into(kappa: Parts, k: int, level: int | None = None) -> list[StrongCover]:
-    """Strong covers arriving at ``kappa`` from one bounded size below."""
-    if level is None:
-        level = sum(core_to_bounded(kappa, k))
-    return [
-        StrongCover(tau, kappa, skew_components(kappa, tau))
-        for tau in cores_of_level(k, level - 1)
-        if contains(kappa, tau)
-    ]
-
-
-def conjugate_core(parts: Parts) -> Parts:
-    return conjugate(parts)
-
-
-def poset_edges_csv(k: int, max_size: int) -> str:
-    """CSV dump ``from,to,components`` of all strong cover edges up to a size."""
-    lines = ["from,to,components"]
-    for n in range(max_size):
-        for tau in cores_of_level(k, n):
-            for cov in strong_covers(tau, k):
-                lines.append(
-                    '"%s","%s",%d'
-                    % (
-                        " ".join(map(str, cov.from_core)),
-                        " ".join(map(str, cov.to_core)),
-                        cov.components,
-                    )
-                )
-    return "\n".join(lines) + "\n"

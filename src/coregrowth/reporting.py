@@ -12,7 +12,6 @@ from typing import Any
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
-PROPERTY = "property"
 
 
 class InvariantError(AssertionError):

@@ -29,7 +29,7 @@ from coregrowth.partitions import (
     rectangle_area,
     reduce_rectangles,
 )
-from coregrowth.posets import enumerate_bounded, weak_covers_bounded
+from coregrowth.posets import enumerate_bounded, grown_column, weak_covers_bounded
 from coregrowth.reporting import THEOREM, InvariantError, Report
 
 if TYPE_CHECKING:
@@ -134,55 +134,6 @@ def initial_frontiers(k: int) -> list[int]:
     return [c - (k + 1) for c in range(k + 1)]
 
 
-class Stepper:
-    """One-transition-at-a-time view of a trajectory.
-
-    Holds the same triple as the bulk runner: reduced state, rectangle
-    ledger and bead frontiers, with one uniform draw consumed per step, so a
-    Stepper with the same seed replays ``run_simulation`` exactly.
-    """
-
-    def __init__(self, k: int, seed: int = 0):
-        import numpy as np
-
-        self.k = k
-        self._mc = chain_mod.build_chain(k)
-        self._tables = _sampling_tables(self._mc)
-        self._sizes = [sum(s) for s in self._mc.states]
-        self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        self.state_index = 0
-        self.ledger = [0] * k
-        self.frontiers = initial_frontiers(k)
-        self._label_class = list(range(k + 1))
-        self._class_label = list(range(1, k + 2))
-        self.n = 0
-
-    @property
-    def reduced(self) -> Parts:
-        return self._mc.states[self.state_index]
-
-    def step(self) -> "Stepper":
-        u = float(self.rng.random())
-        for acc, target, column, removed in self._tables[self.state_index]:
-            if u < acc:
-                break
-        self.state_index = target
-        if removed:
-            self.ledger[removed - 1] += 1
-        c = self._label_class[column - 1]
-        sigma = (c - 1) % (self.k + 1)
-        other = self._class_label[sigma]
-        self.frontiers[sigma], self.frontiers[c] = (
-            self.frontiers[c] - 1,
-            self.frontiers[sigma] + 1,
-        )
-        self._label_class[column - 1], self._label_class[other - 1] = sigma, c
-        self._class_label[sigma], self._class_label[c] = column, other
-        self.n += 1
-        _assert_conserved(self.n, self._sizes[self.state_index], self.ledger, self.k)
-        return self
-
-
 def run_simulation(config: SimConfig) -> SimResult:
     import numpy as np
 
@@ -270,24 +221,6 @@ def reconstruct_core(reduced: Parts, ledger, k: int, max_parts: int = 1_000_000)
             f"reconstruction needs {sum(l)} rows; raise max_parts to allow it"
         )
     return bounded_to_core(parts_from_multiplicities(l), k)
-
-
-def boundary(core: Parts, n: int) -> list[tuple[float, float]]:
-    """Staircase vertices of the upper-right boundary, scaled by 1/n."""
-    if not core:
-        return [(0.0, 0.0)]
-    pts = [(core[0] / n, 0.0)]
-    i = 0
-    while i < len(core):
-        v = core[i]
-        j = i
-        while j < len(core) and core[j] == v:
-            j += 1
-        pts.append((v / n, j / n))
-        nxt = core[j] if j < len(core) else 0
-        pts.append((nxt / n, j / n))
-        i = j
-    return pts
 
 
 def core_parts_from_frontiers(frontiers, k: int, max_parts: int = 500_000) -> Parts:
@@ -411,9 +344,7 @@ def verify_projection(k: int, n_max: int) -> Report:
             reduced = reduce_rectangles(b, k)[0]
             table = moves_by_col[factorial_index(reduced, k)]
             for cover in weak_covers_bounded(b, k):
-                col = 1 if len(cover) > len(b) else next(
-                    y for x, y in zip(b, cover) if x != y
-                )
+                col = grown_column(b, cover)
                 rate = Fraction(dimensions.strong_dim_tableaux(cover, k), (n + 1) * d_b)
                 move = table.get(col)
                 if (

@@ -20,6 +20,7 @@ from coregrowth.partitions import (
     parts_from_multiplicities,
     reduce_rectangles,
 )
+from coregrowth.posets import grown_column, weak_covers_bounded
 from coregrowth.reporting import THEOREM, Report
 
 Word = tuple[int, ...]
@@ -139,17 +140,11 @@ def alpha_via_core(parts: Parts, k: int) -> Word:
 
 def verify_tasep_equivalence(k: int) -> Report:
     """Column moves of every reduced state match the jumps of its word."""
-    from coregrowth.posets import weak_covers_bounded
-
     bad = None
     for s in enumerate_reduced_states(k):
         chain_side = {}
         for cover in weak_covers_bounded(s, k):
-            if len(cover) > len(s):
-                column = 1
-            else:
-                column = next(b for a, b in zip(s, cover) if a != b)
-            chain_side[column] = reduce_rectangles(cover, k)[0]
+            chain_side[grown_column(s, cover)] = reduce_rectangles(cover, k)[0]
         word = alpha_inv(s, k)
         tasep_side = {value: alpha(moved) for value, moved in jumps(word)}
         if chain_side != tasep_side:
@@ -160,16 +155,12 @@ def verify_tasep_equivalence(k: int) -> Report:
 
 def verify_rectangle_jump(k: int) -> Report:
     """A move deletes the type-i rectangle iff i swaps past i+1 on the ring."""
-    from coregrowth.posets import weak_covers_bounded
-
     bad = None
     for s in enumerate_reduced_states(k):
         word = alpha_inv(s, k)
         pos = value_positions(word)
         for cover in weak_covers_bounded(s, k):
-            column = 1 if len(cover) > len(s) else next(
-                b for a, b in zip(s, cover) if a != b
-            )
+            column = grown_column(s, cover)
             removed = next(
                 (i + 1 for i, c in enumerate(reduce_rectangles(cover, k)[1]) if c),
                 None,

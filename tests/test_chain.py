@@ -217,10 +217,11 @@ def test_normalization():
     assert verify_normalization(4, 8).passed
 
 
-def test_crt_solver_matches_gauss(chain4):
-    mc, pi = chain4
-    assert _solve_fraction_gauss(mc) == pi.values
-    assert _solve_crt(mc) == pi.values
+def test_crt_solver_matches_gauss():
+    # Gauss is the oracle: the CRT solve is the only exact fallback.
+    for k in (2, 3, 4, 5):
+        mc = build_chain(k)
+        assert _solve_crt(mc) == _solve_fraction_gauss(mc)
 
 
 def test_chain_json_and_csv(chain3):
@@ -271,25 +272,21 @@ def test_certified_candidate_equals_exact_solve(k, exact, monkeypatch):
     assert _float_candidate(mc) == expected
     # stationary accepts the candidate on the first certificate, with no exact solve
     calls = record_certificates(monkeypatch)
-    for name in ("_solve_fraction_gauss", "_solve_crt"):
-        monkeypatch.setattr(chain_mod, name, None)
+    monkeypatch.setattr(chain_mod, "_solve_crt", None)
     assert stationary(mc).values == expected
     assert calls == [expected]
 
 
-@pytest.mark.parametrize("gauss_limit", [chain_mod.GAUSS_LIMIT, 0], ids=["gauss", "crt"])
-def test_wrong_scale_candidate_falls_back(chain4, monkeypatch, gauss_limit):
-    mc, pi = chain4
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_wrong_scale_candidate_falls_back(monkeypatch, k):
+    mc = build_chain(k)
+    exact = _solve_fraction_gauss(mc)
+    monkeypatch.setattr(chain_mod, "_solve_fraction_gauss", None)  # not a fallback
     calls = record_certificates(monkeypatch)
     monkeypatch.setattr(chain_mod, "mk_constant", lambda k: 7)
-    monkeypatch.setattr(chain_mod, "GAUSS_LIMIT", gauss_limit)
-    assert stationary(mc).values == pi.values
-    assert all(v.denominator in (1, 7) for v in calls[0])  # the rejected candidate
-    assert calls[-1] == pi.values  # the fallback's result, certified again
-    if gauss_limit:
-        assert len(calls) == 2
-    else:
-        assert len(calls) >= 3  # the CRT solver also certifies its reconstructions
+    assert stationary(mc).values == exact
+    assert all(v.denominator in (1, 7) for v in calls[0]) and calls[0] != exact  # rejected
+    assert calls[-1] == exact  # the CRT solve's reconstruction, certified
 
 
 @pytest.mark.parametrize("failure", ["singular", "nan"])

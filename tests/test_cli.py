@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,23 @@ def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
     not_a_dir.write_text("")
     assert run_cli("--cache", str(not_a_dir), "dims", "--k", "3", "2,1") == 2
     assert capsys.readouterr().err.startswith("error: cache file")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_limits_blas_threads_unless_set(preset, expected):
+    script = (
+        "import os\n"
+        "from coregrowth.cli import main\n"
+        "assert main(['tasep', '--k', '2', '--word', '1-2-3']) == 0\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == expected

@@ -9,9 +9,7 @@ from coregrowth.partitions import (
     check_partition,
     complement,
     conjugate,
-    core_from_json,
     core_to_bounded,
-    core_to_json,
     enumerate_reduced_states,
     factorial_index,
     hook_lengths,
@@ -20,13 +18,9 @@ from coregrowth.partitions import (
     k_conjugate,
     maximal_state,
     multiplicities,
-    parts_from_json,
     parts_from_multiplicities,
-    parts_to_json,
     rectangle,
     reduce_rectangles,
-    reduced_state_from_json,
-    reduced_state_to_json,
 )
 from coregrowth.posets import enumerate_bounded
 
@@ -220,14 +214,8 @@ def test_rectangles():
     assert parts_from_multiplicities(multiplicities((3, 2, 2), 4)) == (3, 2, 2)
 
 
-def test_json_round_trips():
-    assert parts_from_json(parts_to_json((4, 3, 1))) == (4, 3, 1)
-    assert parts_from_json("[]") == EMPTY
-    parts, r = core_from_json(core_to_json((7, 3, 1), 5))
-    assert (parts, r) == ((7, 3, 1), 5)
-    with pytest.raises(ValueError):
-        core_from_json(core_to_json((3, 1), 4))
-    state, k = reduced_state_from_json(reduced_state_to_json((2, 1), 3))
-    assert (state, k) == ((2, 1), 3)
+def test_check_partition():
+    assert check_partition([4, 3, 1]) == (4, 3, 1)
+    assert check_partition([]) == EMPTY
     with pytest.raises(ValueError):
         check_partition((1, 2))

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from coregrowth.partitions import (
     EMPTY,
     bounded_to_core,
@@ -10,7 +12,7 @@ from coregrowth.posets import (
     cores_of_level,
     contains,
     enumerate_bounded,
-    poset_edges_csv,
+    grown_column,
     skew_components,
     strong_covers,
     weak_covers_bounded,
@@ -159,8 +161,10 @@ def test_weak_predecessors_invert_covers():
                     assert lam in weak_predecessors_bounded(cov, k)
 
 
-def test_poset_edges_csv():
-    text = poset_edges_csv(3, 3)
-    lines = text.strip().splitlines()
-    assert lines[0] == "from,to,components"
-    assert '"","1",1' in lines[1]
+def test_grown_column():
+    assert grown_column(EMPTY, (1,)) == 1
+    assert grown_column((3, 1), (3, 1, 1)) == 1  # a new row
+    assert grown_column((3, 1), (3, 2)) == 2  # growth inside a row
+    assert grown_column((2, 2), (3, 2)) == 3
+    with pytest.raises(ValueError):
+        grown_column((2, 1), (2, 1))

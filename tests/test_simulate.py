@@ -12,7 +12,6 @@ from coregrowth.partitions import EMPTY, bounded_to_core
 from coregrowth.simulate import (
     ConfigError,
     SimConfig,
-    boundary,
     boundary_csv,
     compare_to_limit,
     core_parts_from_frontiers,
@@ -58,17 +57,6 @@ def test_reconstruct_core():
     assert reconstruct_core((3, 1), (0, 0, 0, 1), 4) == (7, 3, 1)
     with pytest.raises(MemoryError):
         reconstruct_core(EMPTY, (10_000_000, 0, 0), 3, max_parts=100)
-
-
-def test_boundary_staircase():
-    assert boundary(EMPTY, 1) == [(0.0, 0.0)]
-    assert boundary((2, 1), 1) == [
-        (2.0, 0.0),
-        (2.0, 1.0),
-        (1.0, 1.0),
-        (1.0, 2.0),
-        (0.0, 2.0),
-    ]
 
 
 def test_initial_frontiers_are_empty_core():
@@ -197,19 +185,6 @@ def test_occupancy_matches_pi_k4_long_run():
         p = float(pi.values[i])
         se = math.sqrt(p * (1 - p) / result.steps)
         assert abs(freq[i] - p) <= 3 * se
-
-
-def test_stepper_replays_bulk_runner():
-    from coregrowth.simulate import Stepper
-
-    bulk = run_simulation(SimConfig(k=3, n=500, seed=42))
-    stepper = Stepper(3, seed=42)
-    for _ in range(500):
-        stepper.step()
-    assert stepper.reduced == bulk.final_state
-    assert tuple(stepper.ledger) == bulk.ledger
-    assert tuple(stepper.frontiers) == bulk.frontiers
-    assert stepper.n == 500
 
 
 def test_conservation_check_survives_optimize_flag():
