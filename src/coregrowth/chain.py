@@ -3,7 +3,7 @@
 States are the reduced k-bounded partitions.  A move grows one column of the
 state (a box addition that the weak order permits); if that completes a
 k-rectangle the rectangle is deleted, so moves that remove and moves that
-do not share one code path through ``reduce_rectangles``.  Rates are exact
+do not share one code path through ``reduce_cover``.  Rates are exact
 rationals d(cover) / ((n+1) d(state)); each row sums to one.
 
 ``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
@@ -37,7 +37,7 @@ from coregrowth.partitions import (
     k_conjugate,
     multiplicities,
     rectangle_area,
-    reduce_rectangles,
+    reduce_cover,
 )
 from coregrowth.posets import (
     enumerate_bounded,
@@ -103,8 +103,7 @@ def build_chain(k: int) -> MarkovChain:
         row: dict[int, Fraction] = {}
         out = []
         for cover in weak_covers_bounded(src, k):
-            target, ledger = reduce_rectangles(cover, k)
-            removed = next((i + 1 for i, c in enumerate(ledger) if c), None)
+            target, removed = reduce_cover(cover, k)
             rate = Fraction(table[bounded_to_core(cover, k)], (n + 1) * d_src)
             out.append(Move(src, grown_column(src, cover), target, removed, rate))
             ti = factorial_index(target, k)
@@ -140,24 +139,36 @@ def is_irreducible(chain: MarkovChain) -> bool:
 
 # --- exact linear solve ---------------------------------------------------
 
+def _stationary_system(chain: MarkovChain) -> list[dict[int, Fraction]]:
+    """Sparse rows of the augmented matrix [A | e_0] of A pi = e_0.
+
+    Every entry is a Fraction; column n is the right-hand side.  Row 0 is
+    sum pi = 1; row j >= 1 is row j of P^T - I, the balance of state j.  The
+    balance of state 0 is the one the normalization replaces.
+    """
+    n = chain.size
+    rows: list[dict[int, Fraction]] = [dict.fromkeys(range(n + 1), Fraction(1))]
+    rows += [{} for _ in range(1, n)]
+    for i, row in enumerate(chain.matrix):
+        for j, rate in row.items():
+            if j:
+                rows[j][i] = rate
+    for j in range(1, n):
+        rows[j][j] = rows[j].get(j, Fraction(0)) - 1
+    return rows
+
+
 def _solve_fraction_gauss(chain: MarkovChain) -> list[Fraction]:
-    """Dense exact elimination on (P^T - I) with a normalization row.
+    """Dense exact elimination of the normalized stationary system.
 
     Not called by ``stationary``: the tests use it as the independent
     reference that ``_solve_crt`` must reproduce.
     """
     n = chain.size
     a = [[Fraction(0)] * (n + 1) for _ in range(n)]
-    for j in range(n):
-        a[0][j] = Fraction(1)  # sum pi = 1
-    a[0][n] = Fraction(1)
-    for i, row in enumerate(chain.matrix):
-        for j, rate in row.items():
-            if j == 0:
-                continue  # balance at state 0 replaced by normalization
-            a[j][i] += rate
-    for j in range(1, n):
-        a[j][j] -= 1
+    for r, row in enumerate(_stationary_system(chain)):
+        for c, v in row.items():
+            a[r][c] = v
     for col in range(n):
         piv = max(
             range(col, n),
@@ -178,25 +189,21 @@ def _solve_fraction_gauss(chain: MarkovChain) -> list[Fraction]:
 _PRIMES = [2147483629, 2147483587, 2147483563, 2147483549, 2147483543, 2147483497]
 
 
-def _solve_mod_p(chain: MarkovChain, p: int):
-    """Solve the normalized stationary system over GF(p) with numpy."""
+def _solve_mod_p(system: list[dict[int, Fraction]], p: int):
+    """Solve the normalized stationary system over GF(p) with numpy.
+
+    None when an entry's denominator or a pivot vanishes modulo p.
+    """
     import numpy as np
 
-    n = chain.size
+    n = len(system)
     a = np.zeros((n, n + 1), dtype=np.int64)
-    a[0, :n] = 1
-    a[0, n] = 1
-    for i, row in enumerate(chain.matrix):
-        for j, rate in row.items():
-            if j == 0:
-                continue
-            num = rate.numerator % p
-            den = rate.denominator % p
+    for r, row in enumerate(system):
+        for c, v in row.items():
+            den = v.denominator % p
             if den == 0:
                 return None
-            a[j, i] = (a[j, i] + num * pow(den, -1, p)) % p
-    for j in range(1, n):
-        a[j, j] = (a[j, j] - 1) % p
+            a[r, c] = v.numerator * pow(den, -1, p) % p
     for col in range(n):
         piv = col + int(np.argmax(a[col:, col] != 0))
         if a[piv, col] == 0:
@@ -231,10 +238,11 @@ def _solve_crt(chain: MarkovChain) -> list[Fraction]:
 
     Returns only a vector that passed ``_verify_stationary``.
     """
+    system = _stationary_system(chain)
     residues: list[list[int]] = []
     primes_used: list[int] = []
     for p in _PRIMES:
-        sol = _solve_mod_p(chain, p)
+        sol = _solve_mod_p(system, p)
         if sol is None:
             continue
         residues.append(sol)
@@ -278,23 +286,17 @@ def _verify_stationary(chain: MarkovChain, pi: list[Fraction]) -> None:
 def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
     """round(x M_k) / M_k for the float64 solution x of the normalized system.
 
-    Same system as the exact solvers: the balance equation of state 0 is
-    replaced by sum pi = 1.  None when the solve fails or is not finite.
+    None when the solve fails or is not finite.
     """
     import numpy as np
 
     n = chain.size
-    a = np.zeros((n, n))
-    a[0] = 1.0
-    for i, row in enumerate(chain.matrix):
-        for j, rate in row.items():
-            if j:
-                a[j, i] += float(rate)
-    a[range(1, n), range(1, n)] -= 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
+    a = np.zeros((n, n + 1))
+    for r, row in enumerate(_stationary_system(chain)):
+        for c, v in row.items():
+            a[r, c] = float(v)
     try:
-        x = np.linalg.solve(a, b)
+        x = np.linalg.solve(a[:, :n], a[:, n])
     except np.linalg.LinAlgError:
         return None
     mk = mk_constant(chain.k)

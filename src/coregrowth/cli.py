@@ -34,6 +34,9 @@ EXIT_USAGE = 2
 
 CACHE_ENV = "COREGROWTH_CACHE"
 
+# Least k per subcommand: the finite chain and the simulator need k >= 2.
+LEAST_K = {"dims": 1, "tasep": 1, "chain": 2, "verify": 2, "simulate": 2}
+
 
 @dataclass
 class RunReport:
@@ -174,7 +177,7 @@ def _conjecture_reports(k: int, mc, pi) -> list[Report]:
 
 def cmd_chain(args) -> int:
     k = args.k
-    if not 2 <= k <= 6 and not args.force:
+    if k > 6 and not args.force:
         print(
             f"error: k={k} outside the guarded range 2..6 (pass --force to override)",
             file=sys.stderr,
@@ -302,7 +305,7 @@ def cmd_tasep(args) -> int:
                 raise ValueError(f"word has {len(word)} letters, expected {k + 1}")
             state = tasep.alpha(word)
         elif args.state is not None:
-            state = tuple(args.state)
+            state = check_k_bounded(args.state, k)
             if not is_reduced(state, k):
                 raise ValueError(f"{state!r} is not a reduced state for k={k}")
             word = tasep.alpha_inv(state, k)
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", help="write chain.json here")
     p.add_argument("--csv", help="write the stationary vector CSV here")
-    p.add_argument("--force", action="store_true", help="lift the 2<=k<=6 guard")
+    p.add_argument("--force", action="store_true", help="lift the k<=6 guard")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("simulate", help="run the growth simulator")
@@ -378,6 +381,10 @@ def main(argv=None) -> int:
     # tens of times slower on a few cores; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
+    least = LEAST_K[args.command]
+    if args.k is not None and args.k < least:
+        print(f"error: {args.command} needs k >= {least}, got k={args.k}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except CacheError as exc:

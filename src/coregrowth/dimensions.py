@@ -11,8 +11,10 @@ component count.
 
 over exponent vectors of complete homogeneous functions; R_ij moves one unit
 from entry j to entry i, and a vector with a negative entry contributes
-coefficient zero.  Small index sets are expanded subset by subset, large ones
-by a row-wise convolution that finalizes one entry at a time.
+coefficient zero.  The product is expanded by a row-wise convolution that
+finalizes one entry per row and carries only the pending decrements of the
+next k-1 entries.  ``operator_windows`` is the one place that says which
+(1 - R_ij) factors a row has.
 
 The triangle-operator helpers expose the same calculus as data: expansion of
 the full pair triangle over permutation inversion sets, the 2^k interval-run
@@ -81,44 +83,6 @@ def operator_windows(parts: Parts, k: int) -> list[range]:
     return [range(i + 2, k - parts[i] + i + 2) for i in range(len(parts))]
 
 
-def _dim_by_subsets(parts: Parts, k: int) -> int:
-    ell = len(parts)
-    n = sum(parts)
-    windows = [
-        [j for j in w if j <= ell] for w in operator_windows(parts, k)
-    ]  # targets past the last row stay zero and kill their terms
-    row_choices = []
-    for w in windows:
-        choices = []
-        for size in range(len(w) + 1):
-            for sub in combinations(w, size):
-                choices.append(sub)
-        row_choices.append(choices)
-
-    total = 0
-
-    def rec(i: int, vec: list[int], sign: int):
-        nonlocal total
-        if i == ell:
-            total += sign * h_coefficient(vec)
-            return
-        base = vec[i]
-        for sub in row_choices[i]:
-            v = base + len(sub)
-            if v < 0:
-                continue
-            vec[i] = v
-            for j in sub:
-                vec[j - 1] -= 1
-            rec(i + 1, vec, sign if len(sub) % 2 == 0 else -sign)
-            for j in sub:
-                vec[j - 1] += 1
-        vec[i] = base
-
-    rec(0, list(parts), 1)
-    return total
-
-
 def _dim_by_convolution(parts: Parts, k: int) -> int:
     """Row-by-row expansion; one entry is finalized per row.
 
@@ -131,9 +95,8 @@ def _dim_by_convolution(parts: Parts, k: int) -> int:
     width = max(k - 1, 1)
     states: dict[tuple[int, ...], int] = {(0,) * width: 1}
     prefix = 0
-    for i in range(1, ell + 1):
-        lam = parts[i - 1]
-        window = [j for j in range(i + 1, k - lam + i + 1) if j <= ell]
+    for i, (lam, full) in enumerate(zip(parts, operator_windows(parts, k)), start=1):
+        window = [j for j in full if j <= ell]
         subs = []
         for size in range(len(window) + 1):
             subs.extend(combinations(window, size))
@@ -159,19 +122,10 @@ def _dim_by_convolution(parts: Parts, k: int) -> int:
     return sum(w for s, w in states.items() if not any(s))
 
 
-SUBSET_LIMIT = 22
-
-
 @cache
 def strong_dim_raising(parts: Parts, k: int) -> int:
     """Dimension via the raising-operator expansion."""
-    parts = check_k_bounded(parts, k)
-    if not parts:
-        return 1
-    t_size = sum(k - p for p in parts)
-    if t_size <= SUBSET_LIMIT:
-        return _dim_by_subsets(parts, k)
-    return _dim_by_convolution(parts, k)
+    return _dim_by_convolution(check_k_bounded(parts, k), k)
 
 
 # --- tableau engine: DP over cores ---------------------------------------
@@ -375,12 +329,6 @@ def composition_sum(m: int) -> Fraction:
     return total
 
 
-def truncation(vec) -> tuple[int, ...]:
-    """Subtract the minimum entry from every entry."""
-    m = min(vec)
-    return tuple(v - m for v in vec)
-
-
 def triangle_value(vec) -> int:
     """Full triangle over all entries of ``vec``, evaluated via inversions."""
     return evaluate_terms(triangle_expand_inversions(len(vec)), vec)
@@ -416,11 +364,8 @@ def long_column_vanishes(parts: Parts, k: int) -> bool:
     s = ell - t
     if any(p < 2 for p in parts[:s]):
         raise ValueError("rows above the unit column must have at least two boxes")
-    box = [
-        (i, j)
-        for i in range(1, s + 1)
-        for j in range(i + 1, k - parts[i - 1] + i + 1)
-    ]
+    windows = operator_windows(parts[:s], k)
+    box = [(i, j) for i, window in enumerate(windows, start=1) for j in window]
     if len(box) > 20:
         raise ValueError("operator box too large for exhaustive expansion")
     triangle = triangle_expand_inversions(t)

@@ -163,6 +163,15 @@ def reduce_rectangles(parts: Parts, k: int) -> tuple[Parts, tuple[int, ...]]:
     return parts_from_multiplicities(l), tuple(ledger)
 
 
+def reduce_cover(cover: Parts, k: int) -> tuple[Parts, int | None]:
+    """Target of the move to ``cover`` and the rectangle type it deletes, if any.
+
+    A cover of a reduced state completes at most one k-rectangle.
+    """
+    target, ledger = reduce_rectangles(cover, k)
+    return target, next((i + 1 for i, c in enumerate(ledger) if c), None)
+
+
 def is_reduced(parts: Parts, k: int) -> bool:
     l = multiplicities(parts, k)
     return all(l[i - 1] <= k - i for i in range(1, k + 1))

@@ -23,6 +23,7 @@ from coregrowth.partitions import (
     Parts,
     bounded_to_core,
     check_reduced,
+    enumerate_reduced_states,
     factorial_index,
     multiplicities,
     parts_from_multiplicities,
@@ -86,6 +87,8 @@ class SimConfig:
             raise ConfigError("k must be at least 2")
         if self.n < 1:
             raise ConfigError("n must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.checkpoint_every < 0 or self.boundary_samples < 2:
             raise ConfigError("checkpoint_every must be >= 0 and boundary_samples >= 2")
         bad = set(self.outputs) - OUTPUT_KEYS
@@ -378,9 +381,8 @@ def rho_csv(result: SimResult) -> str:
 
 
 def occupancy_csv(result: SimResult, pi: chain_mod.StationaryDistribution | None = None) -> str:
-    mc_states = chain_mod.build_chain(result.config.k).states
     lines = ["index,parts,visits,frequency" + (",pi" if pi else "")]
-    for i, s in enumerate(mc_states):
+    for i, s in enumerate(enumerate_reduced_states(result.config.k)):
         row = '%d,"%s",%d,%.12g' % (
             i,
             " ".join(map(str, s)),

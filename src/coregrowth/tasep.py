@@ -18,7 +18,7 @@ from coregrowth.partitions import (
     enumerate_reduced_states,
     multiplicities,
     parts_from_multiplicities,
-    reduce_rectangles,
+    reduce_cover,
 )
 from coregrowth.posets import grown_column, weak_covers_bounded
 from coregrowth.reporting import THEOREM, Report
@@ -144,7 +144,7 @@ def verify_tasep_equivalence(k: int) -> Report:
     for s in enumerate_reduced_states(k):
         chain_side = {}
         for cover in weak_covers_bounded(s, k):
-            chain_side[grown_column(s, cover)] = reduce_rectangles(cover, k)[0]
+            chain_side[grown_column(s, cover)] = reduce_cover(cover, k)[0]
         word = alpha_inv(s, k)
         tasep_side = {value: alpha(moved) for value, moved in jumps(word)}
         if chain_side != tasep_side:
@@ -161,10 +161,7 @@ def verify_rectangle_jump(k: int) -> Report:
         pos = value_positions(word)
         for cover in weak_covers_bounded(s, k):
             column = grown_column(s, cover)
-            removed = next(
-                (i + 1 for i, c in enumerate(reduce_rectangles(cover, k)[1]) if c),
-                None,
-            )
+            removed = reduce_cover(cover, k)[1]
             left = word[pos[column] - 2] if pos[column] >= 2 else word[-1]
             swaps_next = left == column + 1
             if (removed == column) != swaps_next or (

@@ -187,3 +187,48 @@ def test_main_limits_blas_threads_unless_set(preset, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == expected
+
+
+def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
+    """The run and the pi solve build the chain; the occupancy CSV does not."""
+    from coregrowth import chain as chain_mod
+
+    built = []
+    build = chain_mod.build_chain
+    monkeypatch.setattr(chain_mod, "build_chain", lambda k: built.append(k) or build(k))
+    names = ("boundary_csv", "rho_csv", "occupancy_csv", "svg", "report_json")
+    cfg = {"k": 3, "n": 2000, "seed": 1, "outputs": {key: str(tmp_path / key) for key in names}}
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps(cfg))
+    assert run_cli("simulate", "--config", str(cpath)) == 0
+    assert built == [3, 3]
+    assert len((tmp_path / "occupancy_csv").read_text().splitlines()) == 1 + 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--k", "1"],
+        ["chain", "--k", "1", "--force"],
+        ["dims", "--k", "-1", "--all-reduced"],
+        ["tasep", "--k", "3", "--state", "9"],
+        ["simulate", "--k", "3", "--n", "10", "--seed", "-1"],
+        ["dims", "--k", "0"],
+        ["tasep", "--k", "0", "--word", "1"],
+        ["verify", "--k", "0", "--suite", "appendix"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_a_usage_error(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coregrowth.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
 
 from coregrowth.dimensions import (
     _dim_by_convolution,
-    _dim_by_subsets,
     composition_sum,
     dimension_table_json,
     evaluate_terms,
@@ -14,6 +14,7 @@ from coregrowth.dimensions import (
     hook_dim,
     load_dimension_table,
     long_column_vanishes,
+    operator_windows,
     raising_apply,
     strong_dim_raising,
     strong_dim_tableaux,
@@ -76,6 +77,7 @@ def test_engine_equivalence_on_states_and_covers():
 
 
 def test_subsets_vs_convolution():
+    """The product of every row's (1 - R_ij) subsets, summed term by term."""
     rng = random.Random(11)
     for k in (3, 4, 5):
         for _ in range(40):
@@ -86,7 +88,13 @@ def test_subsets_vs_convolution():
             lam = tuple(sorted(lam, reverse=True))
             if not lam:
                 continue
-            assert _dim_by_subsets(lam, k) == _dim_by_convolution(lam, k)
+            windows = [[j for j in w if j <= len(lam)] for w in operator_windows(lam, k)]
+            rows = [
+                [[(i, j) for j in sub] for size in range(len(w) + 1) for sub in combinations(w, size)]
+                for i, w in enumerate(windows, start=1)
+            ]
+            terms = [(sum(pick, []), (-1) ** sum(map(len, pick))) for pick in product(*rows)]
+            assert _dim_by_convolution(lam, k) == evaluate_terms(terms, lam)
 
 
 def test_pieri_row_sums():

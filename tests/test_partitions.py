@@ -20,6 +20,7 @@ from coregrowth.partitions import (
     multiplicities,
     parts_from_multiplicities,
     rectangle,
+    reduce_cover,
     reduce_rectangles,
 )
 from coregrowth.posets import enumerate_bounded
@@ -147,6 +148,8 @@ def test_reduce_examples():
     assert reduce_rectangles((4, 3, 1), 4) == ((3, 1), (0, 0, 0, 1))
     assert reduce_rectangles((2, 2, 1), 3) == ((1,), (0, 1, 0))
     assert reduce_rectangles(EMPTY, 3) == (EMPTY, (0, 0, 0))
+    assert reduce_cover((4, 3, 1), 4) == ((3, 1), 4)
+    assert reduce_cover((2, 1), 3) == ((2, 1), None)
 
 
 def test_reduce_conserves_boxes():

@@ -45,6 +45,8 @@ def test_config_parsing():
         SimConfig.from_json('{"k": 3, "n": 10, "outputs": {"svg": 5}}')
     with pytest.raises(ConfigError):
         SimConfig(k=2, n=0).validate()
+    with pytest.raises(ConfigError):
+        SimConfig.from_json('{"k": 3, "n": 10, "seed": -1}')
 
 
 def test_projection_consistency():
