@@ -177,12 +177,18 @@ def _solve_fraction_gauss(chain: MarkovChain) -> list[Fraction]:
         if not a[piv][col]:
             raise InvariantError("singular stationary system; chain not irreducible?")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        pivot = a[col]
+        inv = 1 / pivot[col]
+        # a column where the pivot row is zero does not change
+        support = [c for c in range(col, n + 1) if pivot[c]]
+        for c in support:
+            pivot[c] *= inv
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            f = a[r][col]
+            if r != col and f:
+                row = a[r]
+                for c in support:
+                    row[c] -= f * pivot[c]
     return [a[i][n] for i in range(n)]
 
 

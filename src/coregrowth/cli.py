@@ -34,8 +34,19 @@ EXIT_USAGE = 2
 
 CACHE_ENV = "COREGROWTH_CACHE"
 
-# Least k per subcommand: the finite chain and the simulator need k >= 2.
+# The k range of each subcommand.  The finite chain and the simulator need
+# k >= 2.  The commands that build the chain stop at k = 6 unless --force is
+# given: the k = 7 chain takes minutes to build, the k = 8 one hours.
 LEAST_K = {"dims": 1, "tasep": 1, "chain": 2, "verify": 2, "simulate": 2}
+MOST_K = {"chain": 6, "verify": 6, "simulate": 6}
+
+
+def guard_error(command: str, k: int, force: bool) -> str | None:
+    """Why ``command`` refuses this k as above its guarded range, or None."""
+    most = MOST_K.get(command)
+    if most is None or k <= most or force:
+        return None
+    return f"k={k} outside the guarded range {LEAST_K[command]}..{most} (pass --force to override)"
 
 
 @dataclass
@@ -177,11 +188,9 @@ def _conjecture_reports(k: int, mc, pi) -> list[Report]:
 
 def cmd_chain(args) -> int:
     k = args.k
-    if k > 6 and not args.force:
-        print(
-            f"error: k={k} outside the guarded range 2..6 (pass --force to override)",
-            file=sys.stderr,
-        )
+    error = guard_error("chain", k, args.force)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
     cache_path = _load_dim_cache(k, _cache_dir(args))
@@ -226,6 +235,10 @@ def cmd_simulate(args) -> int:
     except (OSError, simulate.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    error = guard_error("simulate", config.k, args.force)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     t0 = time.perf_counter()
     result = simulate.run_simulation(config)
     pi = chain_mod.stationary(chain_mod.build_chain(config.k))
@@ -254,6 +267,10 @@ def cmd_verify(args) -> int:
     report = RunReport(command="verify", k=k, inputs={"suite": args.suite})
     reports: list[Report] = []
     if args.suite in ("theorems", "conjectures", "all"):
+        error = guard_error("verify", k, args.force)
+        if error:
+            print(f"error: {error}", file=sys.stderr)
+            return EXIT_USAGE
         mc, pi = _assemble_chain(k)
         if args.suite in ("theorems", "all"):
             reports += _theorem_reports(k, mc, pi)
@@ -356,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="boundary CSV path")
     p.add_argument("--svg", help="overlay SVG path")
+    p.add_argument("--force", action="store_true", help="lift the k<=6 guard")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verifier suite")
@@ -366,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--json", help="write the run report here")
+    p.add_argument("--force", action="store_true", help="lift the k<=6 guard")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tasep", help="dump the state/word correspondence and jumps")

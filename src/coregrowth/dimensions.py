@@ -19,7 +19,11 @@ next k-1 entries.  ``operator_windows`` is the one place that says which
 The triangle-operator helpers expose the same calculus as data: expansion of
 the full pair triangle over permutation inversion sets, the 2^k interval-run
 shortcut, signed composition sums, and the vanishing predicates used by the
-property suite.
+property suite.  A term set is evaluated through each term's net
+displacement, computed once per term set.  The vanishing check evaluates the
+full triangle by its Jacobi-Trudi determinant N! det[1/(v_i + j - i)!]
+(O(t^3) exact arithmetic); the t!-term inversion expansion stays as its
+oracle, which the property suite compares it against.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import add
 
 from coregrowth.partitions import (
     Parts,
@@ -38,6 +43,7 @@ from coregrowth.partitions import (
     multiplicities,
 )
 from coregrowth.posets import cores_of_level, contains, enumerate_bounded, skew_components
+from coregrowth.reporting import InvariantError
 
 Pair = tuple[int, int]
 
@@ -288,22 +294,49 @@ def triangle_expand_intervals(k: int, universe: int | None = None) -> list[tuple
     return out
 
 
+def _displacements(terms, shift: int):
+    """Yield each signed term as the net displacement of its raising moves.
+
+    Entry p of a displacement moves entry p+1 of a vector; ``shift``
+    relocates pair indices first.  Every displacement is as long as the
+    largest index any term reaches, so ``terms`` is read twice.
+    """
+    top = max((j + shift for pairs, _sign in terms for _i, j in pairs), default=0)
+    for pairs, sign in terms:
+        delta = [0] * top
+        for i, j in pairs:
+            delta[i + shift - 1] += 1
+            delta[j + shift - 1] -= 1
+        yield tuple(delta), sign
+
+
+def term_displacements(terms, shift: int = 0) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The signed net displacements of a term set, for evaluating it many times."""
+    return tuple(_displacements(terms, shift))
+
+
+def evaluate_displacements(displacements, vec) -> int:
+    """Signed sum of h-coefficients of ``vec`` moved by each displacement.
+
+    The vector is zero-padded to the displacements' length.
+    """
+    base = tuple(vec)
+    total = 0
+    for delta, sign in displacements:
+        if len(base) < len(delta):
+            base += (0,) * (len(delta) - len(base))
+        total += sign * h_coefficient((*map(add, base, delta), *base[len(delta):]))
+    return total
+
+
 def evaluate_terms(terms, vec, shift: int = 0) -> int:
     """Signed sum of h-coefficients after applying each operator set.
 
     ``shift`` relocates pair indices; the vector is zero-padded on demand.
+    A caller evaluating one term set on many vectors computes
+    ``term_displacements`` once and calls ``evaluate_displacements``.
     """
-    vec = tuple(vec)
-    top = len(vec)
-    for pairs, _sign in terms:
-        for _i, j in pairs:
-            top = max(top, j + shift)
-    base = vec + (0,) * (top - len(vec))
-    total = 0
-    for pairs, sign in terms:
-        shifted = [(i + shift, j + shift) for i, j in pairs]
-        total += sign * h_coefficient(raising_apply(shifted, base))
-    return total
+    return evaluate_displacements(_displacements(terms, shift), vec)
 
 
 def compositions(m: int):
@@ -329,9 +362,50 @@ def composition_sum(m: int) -> Fraction:
     return total
 
 
+def triangle_determinant(vec) -> Fraction:
+    """N! det[1/(v_i + j - i)!] over the t entries of ``vec``, N = sum(vec).
+
+    Jacobi-Trudi (Macdonald, Symmetric Functions, I.3): the full triangle
+    applied to h_vec is det[h_{v_i + j - i}], and the x_1...x_N coefficient
+    of a product of h's is N! over their factorials, with 1/m! = 0 for
+    m < 0.  Exact Fraction elimination, O(t^3).
+    """
+    vec = tuple(vec)
+    if not vec:
+        raise ValueError("vector must be non-empty")
+    total = sum(vec)
+    if total < 0:
+        # every product in the determinant then has a negative index
+        return Fraction(0)
+    t = len(vec)
+    rows = [
+        [Fraction(1, factorial(m)) if m >= 0 else Fraction(0) for m in range(v - i, v - i + t)]
+        for i, v in enumerate(vec)
+    ]
+    det = Fraction(factorial(total))
+    for col in range(t):
+        piv = next((r for r in range(col, t) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pivot = rows[col]
+        det *= pivot[col]
+        for r in range(col + 1, t):
+            f = rows[r][col] / pivot[col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
+    return det
+
+
 def triangle_value(vec) -> int:
-    """Full triangle over all entries of ``vec``, evaluated via inversions."""
-    return evaluate_terms(triangle_expand_inversions(len(vec)), vec)
+    """Full triangle over all entries of ``vec``, by its Jacobi-Trudi determinant."""
+    vec = tuple(vec)
+    value = triangle_determinant(vec)
+    if value.denominator != 1:
+        raise InvariantError(f"triangle determinant of {vec} is not an integer: {value}")
+    return value.numerator
 
 
 def triangle_vanishes(vec, t: int | None = None) -> bool:
@@ -368,12 +442,12 @@ def long_column_vanishes(parts: Parts, k: int) -> bool:
     box = [(i, j) for i, window in enumerate(windows, start=1) for j in window]
     if len(box) > 20:
         raise ValueError("operator box too large for exhaustive expansion")
-    triangle = triangle_expand_inversions(t)
+    triangle = term_displacements(triangle_expand_inversions(t), shift=s)
     for size in range(1, len(box) + 1):
         for x in combinations(box, size):
             if not any(j >= s + 1 for _i, j in x):
                 continue
             moved = raising_apply(x, parts)
-            if evaluate_terms(triangle, moved, shift=s) != 0:
+            if evaluate_displacements(triangle, moved) != 0:
                 return False
     return True

@@ -2,9 +2,10 @@
 
 Checks, over stated finite ranges: signed composition sums collapse to
 1/m!, the inversion expansion of the pair triangle matches the naive subset
-expansion, the interval-run expansion agrees on all-ones vectors (in both
-subset arities, which are reported separately rather than silently merged),
-and the vanishing statements for truncated vectors and long first columns.
+expansion and the Jacobi-Trudi determinant, the interval-run expansion
+agrees on all-ones vectors (in both subset arities, which are reported
+separately rather than silently merged), and the vanishing statements for
+truncated vectors and long first columns.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from math import factorial
 
 from coregrowth.dimensions import (
     composition_sum,
+    evaluate_displacements,
     evaluate_terms,
     long_column_vanishes,
+    term_displacements,
+    triangle_determinant,
     triangle_expand_intervals,
     triangle_expand_inversions,
     triangle_expand_naive,
@@ -36,26 +40,45 @@ def verify_composition_sums(max_m: int) -> Report:
 
 
 def verify_inversion_expansion(max_t: int, vectors: int, seed: int) -> Report:
-    """Inversion terms equal the full 2^C(t,2) subset expansion pointwise."""
-    rng = random.Random(seed)
-    bad = None
-    for t in range(2, max_t + 1):
-        inv = triangle_expand_inversions(t)
-        naive = triangle_expand_naive(t)
-        for _ in range(vectors):
-            vec = tuple(rng.randint(0, 6) for _ in range(t))
-            if evaluate_terms(inv, vec) != evaluate_terms(naive, vec):
-                bad = {"t": t, "vec": vec}
-                break
-        if bad:
-            break
+    """Inversion terms equal the full 2^C(t,2) subset expansion pointwise.
+
+    The Jacobi-Trudi determinant that ``verify_vanishing`` evaluates must
+    also equal the inversion expansion, for t = 2 .. max_t + 1 (the longest
+    vector ``verify_vanishing(max_t, ...)`` evaluates).
+    """
+    bad = next(_inversion_mismatches(max_t, vectors, seed), None)
     return Report(
         "inversion-vs-naive-expansion",
         THEOREM,
         bad is None,
-        {"max_t": max_t, "vectors": vectors},
+        {"max_t": max_t, "vectors": vectors, "determinant_t": [2, max_t + 1]},
         bad,
     )
+
+
+def _inversion_mismatches(max_t: int, vectors: int, seed: int):
+    """Yield {"t", "vec"} for each random vector on which an identity fails.
+
+    The determinant's vectors come from a second generator, so the subset
+    comparison sees the same vectors as it would alone.  They may have
+    negative entries, whose zero diagonal entries make the elimination swap
+    rows.
+    """
+    rng = random.Random(seed)
+    for t in range(2, max_t + 1):
+        inv = term_displacements(triangle_expand_inversions(t))
+        naive = term_displacements(triangle_expand_naive(t))
+        for _ in range(vectors):
+            vec = tuple(rng.randint(0, 6) for _ in range(t))
+            if evaluate_displacements(inv, vec) != evaluate_displacements(naive, vec):
+                yield {"t": t, "vec": vec}
+    det_rng = random.Random(seed + 1)
+    for t in range(2, max_t + 2):
+        inv = term_displacements(triangle_expand_inversions(t))
+        for _ in range(vectors):
+            vec = tuple(det_rng.randint(-2, 6) for _ in range(t))
+            if triangle_determinant(vec) != evaluate_displacements(inv, vec):
+                yield {"t": t, "vec": vec}
 
 
 def verify_interval_expansion(max_k: int) -> Report:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coregrowth.cli import main, parse_partition
+from coregrowth.cli import build_parser, guard_error, main, parse_partition
 
 
 def run_cli(*argv):
@@ -50,6 +50,22 @@ def test_chain_command(tmp_path, capsys):
 def test_chain_guard(capsys):
     assert run_cli("chain", "--k", "9") == 2
     assert "guard" in capsys.readouterr().err
+
+
+def test_force_lifts_the_k_guard(capsys):
+    parser = build_parser()
+    for argv in (["chain"], ["verify"], ["verify", "--suite", "theorems"], ["simulate", "--n", "10"]):
+        args = parser.parse_args([*argv, "--k", "7"])
+        assert "guarded range 2..6" in guard_error(args.command, args.k, args.force)
+        args = parser.parse_args([*argv, "--k", "7", "--force"])
+        assert guard_error(args.command, args.k, args.force) is None
+        args = parser.parse_args([*argv, "--k", "6"])
+        assert guard_error(args.command, args.k, args.force) is None
+    assert guard_error("dims", 9, False) is None
+    assert guard_error("tasep", 9, False) is None
+    # the appendix suite builds no chain, so it needs no --force
+    assert run_cli("verify", "--k", "7", "--suite", "appendix") == 0
+    assert "5 checks, 5 passed" in capsys.readouterr().out
 
 
 def test_tasep_command(capsys):
@@ -103,6 +119,9 @@ def test_simulate_bad_config(tmp_path, capsys):
     cpath.write_text('{"k": 3}')
     assert run_cli("simulate", "--config", str(cpath)) == 2
     assert run_cli("simulate") == 2
+    cpath.write_text('{"k": 8, "n": 10}')
+    assert run_cli("simulate", "--config", str(cpath)) == 2
+    assert "guarded range" in capsys.readouterr().err
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -216,6 +235,9 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["dims", "--k", "0"],
         ["tasep", "--k", "0", "--word", "1"],
         ["verify", "--k", "0", "--suite", "appendix"],
+        ["verify", "--k", "8"],
+        ["verify", "--k", "8", "--suite", "conjectures"],
+        ["simulate", "--k", "8", "--n", "10"],
     ],
     ids=" ".join,
 )

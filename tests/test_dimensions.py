@@ -5,10 +5,12 @@ from math import comb, factorial
 
 import pytest
 
+from coregrowth import dimensions, verify_appendix
 from coregrowth.dimensions import (
     _dim_by_convolution,
     composition_sum,
     dimension_table_json,
+    evaluate_displacements,
     evaluate_terms,
     h_coefficient,
     hook_dim,
@@ -18,6 +20,8 @@ from coregrowth.dimensions import (
     raising_apply,
     strong_dim_raising,
     strong_dim_tableaux,
+    term_displacements,
+    triangle_determinant,
     triangle_expand_intervals,
     triangle_expand_inversions,
     triangle_expand_naive,
@@ -31,6 +35,7 @@ from coregrowth.partitions import (
     rectangle,
 )
 from coregrowth.posets import enumerate_bounded, weak_covers_bounded, weak_dim
+from coregrowth.reporting import InvariantError
 
 
 def test_h_coefficient():
@@ -221,6 +226,71 @@ def test_inversion_vs_naive_on_random_vectors():
         for _ in range(25):
             vec = tuple(rng.randint(0, 6) for _ in range(t))
             assert evaluate_terms(inv, vec) == evaluate_terms(naive, vec)
+
+
+def test_displacements_match_direct_raising_moves():
+    """The net-displacement evaluation equals applying every term's moves."""
+    rng = random.Random(7)
+    for t in range(1, 6):
+        term_sets = [triangle_expand_inversions(t), triangle_expand_naive(t)]
+        if t >= 2:
+            term_sets.append(triangle_expand_intervals(t, universe=t))
+        for terms in term_sets:
+            for shift in (0, 1, 3):
+                for _ in range(5):
+                    vec = tuple(rng.randint(-1, 5) for _ in range(rng.randint(1, t + shift + 2)))
+                    top = max([len(vec)] + [j + shift for pairs, _s in terms for _i, j in pairs])
+                    base = vec + (0,) * (top - len(vec))
+                    direct = sum(
+                        sign * h_coefficient(
+                            raising_apply([(i + shift, j + shift) for i, j in pairs], base)
+                        )
+                        for pairs, sign in terms
+                    )
+                    assert evaluate_terms(terms, vec, shift) == direct
+                    assert evaluate_displacements(term_displacements(terms, shift), vec) == direct
+
+
+def test_triangle_determinant_matches_inversions(monkeypatch):
+    rng = random.Random(12)
+    vectors = [
+        tuple(rng.randint(lo, 7) for _ in range(t))
+        for t in range(1, 7)
+        for lo in (0, -3)
+        for _ in range(30)
+    ]
+    seen = []
+    vanishes = verify_appendix.triangle_vanishes
+    monkeypatch.setattr(
+        verify_appendix, "triangle_vanishes", lambda vec, t: seen.append(vec) or vanishes(vec, t)
+    )
+    assert verify_appendix.verify_vanishing(5, 4).passed
+    assert len(seen) == 1588
+    inversions = {t: term_displacements(triangle_expand_inversions(t)) for t in range(1, 7)}
+    for vec in vectors + seen:
+        expected = evaluate_displacements(inversions[len(vec)], vec)
+        assert triangle_determinant(vec) == expected
+        assert triangle_value(vec) == expected
+    with pytest.raises(ValueError):
+        triangle_value(())
+    monkeypatch.setattr(dimensions, "triangle_determinant", lambda vec: Fraction(1, 2))
+    with pytest.raises(InvariantError):
+        triangle_value((1, 2))
+
+
+def test_inversion_suite_catches_a_wrong_determinant(monkeypatch):
+    def shifted(vec):
+        """N! det[1/(v_i + j - i + 1)!]: every column one place off."""
+        n, t = sum(vec), len(vec)
+        moved = triangle_determinant(tuple(v + 1 for v in vec))
+        return moved * Fraction(factorial(n), factorial(n + t))
+
+    assert verify_appendix.verify_inversion_expansion(3, 20, seed=5).passed
+    monkeypatch.setattr(verify_appendix, "triangle_determinant", shifted)
+    report = verify_appendix.verify_inversion_expansion(3, 20, seed=5)
+    assert not report.passed
+    assert set(report.witness) == {"t", "vec"}
+    assert len(report.witness["vec"]) == report.witness["t"]
 
 
 def test_interval_vs_inversion_on_ones():
