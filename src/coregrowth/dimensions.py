@@ -233,7 +233,6 @@ def inversion_set(perm) -> frozenset[Pair]:
     )
 
 
-@cache
 def triangle_expand_inversions(t: int) -> tuple[tuple[frozenset[Pair], int], ...]:
     """The full triangle over t entries as t! signed inversion sets."""
     if t < 1:

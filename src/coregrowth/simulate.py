@@ -2,20 +2,24 @@
 
 The k-rectangle factorization makes the infinite-chain rates equal the
 finite-chain rates between reduced states (``verify_projection`` certifies
-this at small sizes), so a trajectory is simulated in O(1) per step: the
-reduced state moves by the exact finite rates while a ledger counts deleted
-rectangles and a vector of per-residue bead frontiers tracks the growing
-core.  The core boundary at step n is reconstructed from the frontiers
-without ever materializing the million-row partition.
+this at small sizes), so a trajectory is simulated in O(1) per step.  The
+kernel walks the labelled chain: a reduced state together with the classes
+of its k+1 labels, the TASEP on all (k+1)! label arrangements.  Per step it
+only draws a move and counts it.  The rectangle ledger, the state occupancy
+and the per-residue bead frontiers of the growing core are linear in those
+counts and are derived from them afterwards.  The core boundary at step n is
+reconstructed from the frontiers without ever materializing the million-row
+partition.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from coregrowth import chain as chain_mod
 from coregrowth import dimensions
@@ -114,22 +118,77 @@ class SimResult:
     mean_sq_deviation: float
 
 
-def _sampling_tables(mc: chain_mod.MarkovChain):
-    """Per-state cumulative thresholds, targets, columns and removal flags."""
-    tables = []
+class SamplingTable(NamedTuple):
+    """The labelled chain: a reduced state together with its label arrangement.
+
+    Labelled state ``a`` is reduced state ``reduced[a]`` with label i+1 at
+    class ``arrangements[a][i]``.  Its moves are entries ``base[a]`` onwards
+    of ``nxt`` (the labelled state after the move) and ``moves`` (target,
+    removed rectangle or 0, grown column, jumped-over label); a uniform draw u
+    picks entry ``base[a] + bisect_right(cums[a], u)``.
+    """
+
+    cums: list[list[float]]
+    base: list[int]
+    nxt: list[int]
+    moves: list[tuple[int, int, int, int]]
+    reduced: list[int]
+    arrangements: list[tuple[int, ...]]
+
+
+def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
+    """Close the labelled chain from (state 0, identity arrangement).
+
+    A move grows ``column``: that label jumps from its class c to
+    sigma = c - 1 (mod k+1), swapping with the label ``other`` found there.
+    Each arrangement must carry one reduced state, so the closure has at most
+    (k+1)! states; an arrangement reached with two reduced states raises
+    ``InvariantError``.  The real chain reaches all (k+1)! arrangements.
+    """
+    k = mc.k
+    r = k + 1
+    cums = []
+    targets = []
     for moves in mc.moves:
         acc = 0.0
-        rows = []
+        row = []
         for m in moves:
             acc += float(m.rate)
-            rows.append((acc, factorial_index(m.target, mc.k), m.column, m.removed or 0))
-        rows[-1] = (1.0 + 1e-12, *rows[-1][1:])  # guard the top bucket
-        tables.append(rows)
-        for m in moves:
-            area = rectangle_area(m.removed, mc.k) if m.removed else 0
+            row.append(acc)
+            area = rectangle_area(m.removed, k) if m.removed else 0
             if sum(m.target) != sum(m.source) + 1 - area:
                 raise InvariantError(f"move {m.source!r} -> {m.target!r} does not conserve boxes")
-    return tables
+        row[-1] = 1.0 + 1e-12  # guard the top bucket
+        cums.append(row)
+        targets.append([factorial_index(m.target, k) for m in moves])
+
+    table = SamplingTable([], [], [], [], [0], [tuple(range(r))])
+    index = {table.arrangements[0]: 0}
+    a = 0
+    while a < len(table.reduced):
+        s, label_class = table.reduced[a], table.arrangements[a]
+        table.cums.append(cums[s])
+        table.base.append(len(table.nxt))
+        for m, target in zip(mc.moves[s], targets[s]):
+            c = label_class[m.column - 1]
+            sigma = (c - 1) % r
+            other = label_class.index(sigma) + 1
+            moved = list(label_class)
+            moved[m.column - 1], moved[other - 1] = sigma, c
+            moved = tuple(moved)
+            b = index.setdefault(moved, len(table.reduced))
+            if b == len(table.reduced):
+                table.reduced.append(target)
+                table.arrangements.append(moved)
+            elif table.reduced[b] != target:
+                raise InvariantError(
+                    f"reduced state is not a function of the label arrangement: "
+                    f"{moved} carries states {table.reduced[b]} and {target}"
+                )
+            table.nxt.append(b)
+            table.moves.append((target, m.removed or 0, m.column, other))
+        a += 1
+    return table
 
 
 def initial_frontiers(k: int) -> list[int]:
@@ -137,55 +196,72 @@ def initial_frontiers(k: int) -> list[int]:
     return [c - (k + 1) for c in range(k + 1)]
 
 
+# Draws per block; a larger block's .tolist() shows in the peak RSS.
+BLOCK = 8192
+
+
 def run_simulation(config: SimConfig) -> SimResult:
+    """Walk the labelled chain, counting how often each move fires.
+
+    Every output except the current state is linear in those counts, so the
+    loop only draws, counts and jumps; occupancy, ledger and frontiers are
+    derived from the counts afterwards (the ledger also at each checkpoint,
+    where a block always ends).
+    """
     import numpy as np
 
     k = config.k
     mc = chain_mod.build_chain(k)
-    tables = _sampling_tables(mc)
+    table = _sampling_tables(mc)
+    cums, base, nxt = table.cums, table.base, table.nxt
     sizes = [sum(s) for s in mc.states]
+    removals = [(j, move[1] - 1) for j, move in enumerate(table.moves) if move[1]]
+    counts = [0] * len(nxt)
+
+    def ledger_now() -> list[int]:
+        ledger = [0] * k
+        for j, i in removals:
+            ledger[i] += counts[j]
+        return ledger
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    state = 0
-    ledger = [0] * k
-    frontiers = initial_frontiers(k)
-    label_class = list(range(k + 1))  # label i+1 sits at class label_class[i]
-    class_label = list(range(1, k + 2))  # inverse map
-    occupancy = np.zeros(len(mc.states), dtype=np.int64)
+    a = 0
     checkpoints: list[tuple[int, int, tuple[int, ...]]] = []
-
+    every = config.checkpoint_every
     done = 0
-    block = 65536
     while done < config.n:
-        todo = min(block, config.n - done)
-        for u in rng.random(todo):
-            for acc, target, column, removed in tables[state]:
-                if u < acc:
-                    break
-            state = target
-            if removed:
-                ledger[removed - 1] += 1
-            c = label_class[column - 1]
-            sigma = (c - 1) % (k + 1)
-            other = class_label[sigma]
-            frontiers[sigma], frontiers[c] = frontiers[c] - 1, frontiers[sigma] + 1
-            label_class[column - 1], label_class[other - 1] = sigma, c
-            class_label[sigma], class_label[c] = column, other
-            occupancy[state] += 1
-            done += 1
-            if config.checkpoint_every and done % config.checkpoint_every == 0:
-                _assert_conserved(done, sizes[state], ledger, k)
-                checkpoints.append((done, state, tuple(ledger)))
+        stop = min(done + BLOCK, config.n)
+        if every:
+            stop = min(stop, (done // every + 1) * every)
+        for u in rng.random(stop - done).tolist():
+            j = base[a] + bisect_right(cums[a], u)
+            counts[j] += 1
+            a = nxt[j]
+        done = stop
+        if every and done % every == 0:
+            ledger = ledger_now()
+            _assert_conserved(done, sizes[table.reduced[a]], ledger, k)
+            checkpoints.append((done, table.reduced[a], tuple(ledger)))
 
-    _assert_conserved(config.n, sizes[state], ledger, k)
+    ledger = ledger_now()
+    _assert_conserved(config.n, sizes[table.reduced[a]], ledger, k)
+    occupancy = [0] * len(mc.states)
+    by_label = initial_frontiers(k)  # label i+1 starts at class i
+    for (target, _removed, column, other), c in zip(table.moves, counts):
+        occupancy[target] += c
+        by_label[column - 1] -= c  # the jumping label's frontier steps down
+        by_label[other - 1] += c  # the jumped-over label's steps up
+    frontiers = [0] * (k + 1)
+    for label, cls in enumerate(table.arrangements[a]):
+        frontiers[cls] = by_label[label]
     boundary = boundary_from_frontiers(frontiers, k, config.n, config.boundary_samples)
     gamma, sup_dev, mean_sq = compare_to_limit(boundary, k)
     return SimResult(
         config=config,
         steps=config.n,
-        final_state=mc.states[state],
+        final_state=mc.states[table.reduced[a]],
         ledger=tuple(ledger),
-        occupancy=occupancy,
+        occupancy=np.array(occupancy, dtype=np.int64),
         frontiers=tuple(frontiers),
         boundary=boundary,
         rho_hat=np.array(ledger, dtype=float) / config.n,

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coregrowth import cli
 from coregrowth.cli import build_parser, guard_error, main, parse_partition
 
 
@@ -63,6 +68,14 @@ def test_force_lifts_the_k_guard(capsys):
         assert guard_error(args.command, args.k, args.force) is None
     assert guard_error("dims", 9, False) is None
     assert guard_error("tasep", 9, False) is None
+    # dims tabulating all k! reduced states is guarded; one partition is not
+    args = parser.parse_args(["dims", "--k", "7", "--all-reduced"])
+    assert "guarded range 1..6" in guard_error("dims --all-reduced", args.k, args.force)
+    args = parser.parse_args(["dims", "--k", "7", "--all-reduced", "--force"])
+    assert guard_error("dims --all-reduced", args.k, args.force) is None
+    assert guard_error("dims --all-reduced", 6, False) is None
+    assert run_cli("dims", "--k", "9", "2,1") == 0
+    capsys.readouterr()
     # the appendix suite builds no chain, so it needs no --force
     assert run_cli("verify", "--k", "7", "--suite", "appendix") == 0
     assert "5 checks, 5 passed" in capsys.readouterr().out
@@ -238,6 +251,7 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["verify", "--k", "8"],
         ["verify", "--k", "8", "--suite", "conjectures"],
         ["simulate", "--k", "8", "--n", "10"],
+        ["dims", "--k", "7", "--all-reduced"],
     ],
     ids=" ".join,
 )
@@ -254,3 +268,108 @@ def test_bad_input_is_a_usage_error(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+
+
+# --- argv fuzzing -------------------------------------------------------------
+
+# Each input is a (good, bad) pair of strategies.  A "sane" example draws only
+# good values, so that it reaches the command's work; any other example mixes
+# good and bad values, so that it exercises the usage checks.
+PATH = (st.just("out.txt"), st.sampled_from(["no_such_dir/out.txt", "."]))
+K = (st.integers(2, 4), st.sampled_from([-1, 0, 1]))
+ARG_K = (K[0].map(str), st.sampled_from(["-1", "0", "1", "x", "", "2.5"]))
+PARTITION = (st.sampled_from(["", "1", "2,1", "1 1"]), st.sampled_from(["5,1", "0", "-1", "2,x"]))
+N = (st.integers(1, 2000), st.integers(-1, 0))
+SEED = (st.integers(0, 5), st.just(-1))
+WORDS = {2: "1-2-3", 3: "2-1-3-4", 4: "1-4-2-3-5"}
+
+
+@st.composite
+def cli_input(draw):
+    """(argv, text of config.json) for one in-process ``main`` call."""
+    sane = draw(st.booleans())
+
+    def pick(pair):
+        return draw(pair[0] if sane else st.one_of(*pair))
+
+    def maybe(flag, value=None):
+        if draw(st.booleans()):
+            argv.extend([flag] if value is None else [flag, pick(value)])
+
+    k = pick(K)
+    argv = []
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--cache", pick((st.just("cache"), st.just("config.json")))]
+    command = draw(st.sampled_from(["dims", "chain", "verify", "simulate", "tasep"]))
+    argv += [command, "--k", str(k) if sane else pick(ARG_K)]
+    config = {"k": k, "n": pick(N)}
+    if command == "dims":
+        if draw(st.booleans()):
+            argv.append("--all-reduced")
+        else:
+            argv.append(pick(PARTITION))
+        maybe("--force")
+    elif command in ("chain", "verify"):
+        if command == "verify":
+            suites = st.sampled_from(["theorems", "conjectures", "appendix", "all"])
+            maybe("--suite", (suites, st.just("x")))
+        else:
+            maybe("--csv", PATH)
+        maybe("--json", PATH)
+        maybe("--force")
+    elif command == "simulate":
+        if draw(st.booleans()):
+            argv[-2:] = ["--config", pick((st.just("config.json"), st.just("missing.json")))]
+        else:
+            argv += ["--n", str(config["n"])]
+        maybe("--seed", (SEED[0].map(str), SEED[1].map(str)))
+        maybe("--csv", PATH)
+        maybe("--svg", PATH)
+        maybe("--force")
+        for key, value in (
+            ("seed", SEED),
+            ("checkpoint_every", (st.integers(0, 700), st.just(-1))),
+            ("boundary_samples", (st.integers(2, 50), st.integers(0, 1))),
+        ):
+            if draw(st.booleans()):
+                config[key] = pick(value)
+        names = st.sampled_from(sorted(cli.simulate.OUTPUT_KEYS))
+        outputs = st.dictionaries(names, PATH[0], max_size=3)
+        bad_outputs = st.one_of(
+            st.dictionaries(names, st.one_of(PATH[1], st.just(5)), min_size=1, max_size=2),
+            st.just({"bogus": "out.txt"}),
+            st.just("svg"),
+        )
+        config["outputs"] = pick((outputs, bad_outputs))
+    else:
+        if draw(st.booleans()):
+            argv += ["--word", WORDS[k] if sane else pick((st.just("1-2-3"), st.just("1-1-2")))]
+        else:
+            argv += ["--state", pick(PARTITION)]
+    text = json.dumps(config)
+    if not sane and draw(st.integers(0, 5)) == 0:
+        text = draw(st.sampled_from(["", "{", "[1, 2]", '{"k": 3}', text[:-1] + ', "bogus": 1}']))
+    return argv, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_input())
+def test_fuzzed_argv_exits_0_1_or_2(case):
+    """Any argv ends in exit 0, 1 or 2 (argparse's usage exit counts as 2)."""
+    argv, config = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        # The appendix suite reads nothing from argv but k; test_verify_all_small
+        # runs it whole, and at about 1 s a call it would dominate the budget.
+        mp.setattr(cli, "appendix_reports", lambda k: [])
+        Path("config.json").write_text(config)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coregrowth.chain import build_chain, stationary
-from coregrowth.partitions import EMPTY, bounded_to_core
+from coregrowth import simulate
+from coregrowth.chain import MarkovChain, build_chain, stationary
+from coregrowth.partitions import EMPTY, bounded_to_core, factorial_index
+from coregrowth.reporting import InvariantError
 from coregrowth.simulate import (
+    BLOCK,
     ConfigError,
     SimConfig,
     boundary_csv,
@@ -26,6 +30,103 @@ from coregrowth.simulate import (
     verify_projection,
     write_outputs,
 )
+
+
+def reference_run(config):
+    """The step-by-step kernel: one threshold scan and one label update per step.
+
+    It walks the reduced chain and updates the ledger, frontiers, labels and
+    occupancy at every step; ``run_simulation`` must reproduce it exactly.
+    """
+    k = config.k
+    mc = build_chain(k)
+    tables = []
+    for moves in mc.moves:
+        acc = 0.0
+        rows = []
+        for m in moves:
+            acc += float(m.rate)
+            rows.append((acc, factorial_index(m.target, mc.k), m.column, m.removed or 0))
+        rows[-1] = (1.0 + 1e-12, *rows[-1][1:])  # guard the top bucket
+        tables.append(rows)
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    state = 0
+    ledger = [0] * k
+    frontiers = initial_frontiers(k)
+    label_class = list(range(k + 1))  # label i+1 sits at class label_class[i]
+    class_label = list(range(1, k + 2))  # inverse map
+    occupancy = np.zeros(len(mc.states), dtype=np.int64)
+    checkpoints = []
+
+    done = 0
+    block = 65536
+    while done < config.n:
+        todo = min(block, config.n - done)
+        for u in rng.random(todo):
+            for acc, target, column, removed in tables[state]:
+                if u < acc:
+                    break
+            state = target
+            if removed:
+                ledger[removed - 1] += 1
+            c = label_class[column - 1]
+            sigma = (c - 1) % (k + 1)
+            other = class_label[sigma]
+            frontiers[sigma], frontiers[c] = frontiers[c] - 1, frontiers[sigma] + 1
+            label_class[column - 1], label_class[other - 1] = sigma, c
+            class_label[sigma], class_label[c] = column, other
+            occupancy[state] += 1
+            done += 1
+            if config.checkpoint_every and done % config.checkpoint_every == 0:
+                checkpoints.append((done, state, tuple(ledger)))
+    return mc.states[state], tuple(ledger), occupancy, tuple(frontiers), checkpoints
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_count_kernel_matches_step_by_step_reference(k):
+    n = 12_000
+    assert n % BLOCK and 10_000 > BLOCK
+    for seed in (k, 100 + k):
+        # checkpointing every step gives every other spacing's checkpoints
+        state, ledger, occupancy, frontiers, every_step = reference_run(
+            SimConfig(k=k, n=n, seed=seed, checkpoint_every=1)
+        )
+        # none, divides n, spans a block boundary without dividing n, small
+        for every in (0, 6_000, 10_000, 997):
+            config = SimConfig(k=k, n=n, seed=seed, checkpoint_every=every, boundary_samples=50)
+            result = run_simulation(config)
+            assert result.final_state == state
+            assert result.ledger == ledger
+            assert result.occupancy.dtype == occupancy.dtype
+            assert np.array_equal(result.occupancy, occupancy)
+            assert result.frontiers == frontiers
+            expected = [cp for cp in every_step if every and cp[0] % every == 0]
+            assert result.checkpoints == expected
+            assert len(expected) == (n // every if every else 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_labelled_chain_closes_on_all_label_arrangements(k):
+    table = simulate._sampling_tables(build_chain(k))
+    assert len(table.reduced) == len(set(table.arrangements)) == math.factorial(k + 1)
+    assert all(sorted(arr) == list(range(k + 1)) for arr in table.arrangements)
+    assert len(table.base) == len(table.cums) == len(table.reduced)
+    assert len(table.nxt) == len(table.moves)
+
+
+def test_broken_label_correspondence_raises(monkeypatch):
+    """Swapping the grown columns of two moves keeps box conservation but
+    gives one label arrangement two reduced states."""
+    mc = build_chain(3)
+    moves = [list(row) for row in mc.moves]
+    first, second = moves[1][:2]
+    moves[1][0] = dataclasses.replace(first, column=second.column)
+    moves[1][1] = dataclasses.replace(second, column=first.column)
+    broken = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+    monkeypatch.setattr(simulate.chain_mod, "build_chain", lambda k: broken)
+    with pytest.raises(InvariantError, match="not a function of the label arrangement"):
+        run_simulation(SimConfig(k=3, n=10, seed=1))
 
 
 def test_config_parsing():
