@@ -573,11 +573,7 @@ def verify_normalization(k: int, n_max: int) -> Report:
 
 # --- serialization ----------------------------------------------------------
 
-def chain_to_json(
-    chain: MarkovChain,
-    pi: StationaryDistribution | None = None,
-    reports: list[Report] | None = None,
-) -> str:
+def chain_to_json(chain: MarkovChain, pi: StationaryDistribution, reports: list[Report]) -> str:
     from coregrowth.tasep import alpha_inv, word_to_string
 
     k = chain.k
@@ -598,13 +594,11 @@ def chain_to_json(
             for i, row in enumerate(chain.matrix)
             for j, rate in sorted(row.items())
         ],
+        "pi": {str(i): str(v) for i, v in enumerate(pi.values)},
+        "lcd": pi.lcd,
+        "rho": [str(r) for r in rho_vector(chain, pi)],
+        "reports": [r.to_dict() for r in reports],
     }
-    if pi is not None:
-        payload["pi"] = {str(i): str(v) for i, v in enumerate(pi.values)}
-        payload["lcd"] = pi.lcd
-        payload["rho"] = [str(r) for r in rho_vector(chain, pi)]
-    if reports is not None:
-        payload["reports"] = [r.to_dict() for r in reports]
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

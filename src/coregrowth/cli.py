@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every hard (theorem-grade) assertion passed, 1 when a
 theorem or structural invariant failed, 2 on usage or configuration errors.
-Conjecture verdicts are findings and never affect the exit code.
+Conjecture verdicts are findings and never affect the exit code.  The commands
+raise ``UsageError`` on refused input (or ``OSError`` on a path); ``main``
+alone turns either into the one ``error:`` line and exit code 2.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from coregrowth import chain as chain_mod
 from coregrowth import dimensions, simulate, tasep
 from coregrowth.partitions import (
     check_k_bounded,
+    check_reduced,
     enumerate_reduced_states,
     factorial_index,
-    is_reduced,
     multiplicities,
 )
 from coregrowth.posets import weak_dim
-from coregrowth.reporting import Report, hard_failures
+from coregrowth.reporting import InvariantError, Report, UsageError, hard_failures
 
 EXIT_OK = 0
 EXIT_HARD_FAIL = 1
@@ -38,18 +40,22 @@ CACHE_ENV = "COREGROWTH_CACHE"
 # k >= 2.  The commands that build the chain, and `dims --all-reduced`, which
 # tabulates all k! reduced states, stop at k = 6 unless --force is given: the
 # k = 7 chain takes minutes to build, the k = 8 one hours.  One partition's
-# `dims` row stays unguarded.
+# `dims` row and the appendix suite, which builds no chain, stay unguarded.
 LEAST_K = {"dims": 1, "tasep": 1, "chain": 2, "verify": 2, "simulate": 2}
 MOST_K = {"chain": 6, "verify": 6, "simulate": 6, "dims --all-reduced": 6}
 
 
-def guard_error(command: str, k: int, force: bool) -> str | None:
-    """Why ``command`` refuses this k as above its guarded range, or None."""
+def guard_error(command: str, k: int, force: bool) -> None:
+    """Raise UsageError if ``command`` refuses this k; --force lifts only the upper bound."""
+    name = command.split()[0]
+    least = LEAST_K[name]
+    if k < least:
+        raise UsageError(f"{name} needs k >= {least}, got k={k}")
     most = MOST_K.get(command)
-    if most is None or k <= most or force:
-        return None
-    least = LEAST_K[command.split()[0]]
-    return f"k={k} outside the guarded range {least}..{most} (pass --force to override)"
+    if most is not None and k > most and not force:
+        raise UsageError(
+            f"k={k} outside the guarded range {least}..{most} (pass --force to override)"
+        )
 
 
 @dataclass
@@ -87,12 +93,26 @@ def parse_partition(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}") from exc
 
 
+def _parsed(parse, *args):
+    """``parse(*args)``, with the parser's ValueError re-raised as a UsageError."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _name(parts) -> str:
+    return "(" + ",".join(map(str, parts)) + ")"
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
 def _cache_dir(args) -> str | None:
     return args.cache or os.environ.get(CACHE_ENV)
-
-
-class CacheError(Exception):
-    """A dimension-table cache file that cannot be read or written."""
 
 
 def _load_dim_cache(k: int, cache: str | None) -> str | None:
@@ -104,7 +124,7 @@ def _load_dim_cache(k: int, cache: str | None) -> str | None:
             with open(path, encoding="utf-8") as fh:
                 dimensions.load_dimension_table(fh.read(), k)
         except (OSError, ValueError) as exc:
-            raise CacheError(f"cache file {path}: {exc}; delete it to rebuild") from exc
+            raise UsageError(f"cache file {path}: {exc}; delete it to rebuild") from exc
     return path
 
 
@@ -128,24 +148,17 @@ def _save_dim_cache(k: int, path: str | None) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CacheError(f"cache file {path}: {exc}") from exc
+        raise UsageError(f"cache file {path}: {exc}") from exc
 
 
 def cmd_dims(args) -> int:
     k = args.k
-    error = guard_error("dims --all-reduced", k, args.force) if args.all_reduced else None
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    guard_error("dims --all-reduced" if args.all_reduced else "dims", k, args.force)
     cache_path = _load_dim_cache(k, _cache_dir(args))
     if args.all_reduced:
         targets = list(enumerate_reduced_states(k))
     else:
-        try:
-            targets = [check_k_bounded(args.partition, k)]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        targets = [_parsed(check_k_bounded, args.partition, k)]
     print(f"{'partition':>20} {'d^(k)':>12} {'w^(k)':>12} {'d_hook':>12}  sandwich")
     for lam in targets:
         d_strong = dimensions.strong_dim_tableaux(lam, k)
@@ -155,8 +168,7 @@ def cmd_dims(args) -> int:
         flag = "w<=d<=d^(k)" if ok else "VIOLATED"
         if k >= sum(lam):
             flag += " (equality regime)" if d_weak == d_hook == d_strong else " (equality VIOLATED)"
-        name = "(" + ",".join(map(str, lam)) + ")" if lam else "()"
-        print(f"{name:>20} {d_strong:>12} {d_weak:>12} {d_hook:>12}  {flag}")
+        print(f"{_name(lam):>20} {d_strong:>12} {d_weak:>12} {d_hook:>12}  {flag}")
         if not ok:
             return EXIT_HARD_FAIL
     _save_dim_cache(k, cache_path)
@@ -195,10 +207,7 @@ def _conjecture_reports(k: int, mc, pi) -> list[Report]:
 
 def cmd_chain(args) -> int:
     k = args.k
-    error = guard_error("chain", k, args.force)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    guard_error("chain", k, args.force)
     t0 = time.perf_counter()
     cache_path = _load_dim_cache(k, _cache_dir(args))
     mc, pi = _assemble_chain(k)
@@ -207,45 +216,37 @@ def cmd_chain(args) -> int:
     print(f"chain on {mc.size} states, k={k}")
     print(f"lcd(pi) = {pi.lcd}")
     for i, s in enumerate(mc.states):
-        name = "(" + ",".join(map(str, s)) + ")" if s else "()"
-        print(f"  {i:>4} {name:>24}  pi = {pi.values[i]}")
+        print(f"  {i:>4} {_name(s):>24}  pi = {pi.values[i]}")
     for r in reports:
         print(r.line())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(chain_mod.chain_to_json(mc, pi, reports))
-        print(f"wrote {args.json}")
+        _write(args.json, chain_mod.chain_to_json(mc, pi, reports))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(chain_mod.pi_csv(mc, pi))
-        print(f"wrote {args.csv}")
+        _write(args.csv, chain_mod.pi_csv(mc, pi))
     print(f"elapsed: {time.perf_counter() - t0:.2f}s")
     return EXIT_HARD_FAIL if hard_failures(reports) else EXIT_OK
 
 
+def _sim_config(args) -> simulate.SimConfig:
+    """The run configuration of ``simulate``: from --config, or from the flags."""
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            return simulate.SimConfig.from_json(fh.read())
+    if args.k is None or args.n is None:
+        raise UsageError("either --config or both --k and --n")
+    outputs = {}
+    if args.csv:
+        outputs["boundary_csv"] = args.csv
+    if args.svg:
+        outputs["svg"] = args.svg
+    return simulate.SimConfig.from_dict(
+        {"k": args.k, "n": args.n, "seed": args.seed, "outputs": outputs}
+    )
+
+
 def cmd_simulate(args) -> int:
-    try:
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                config = simulate.SimConfig.from_json(fh.read())
-        else:
-            if args.k is None or args.n is None:
-                print("error: either --config or both --k and --n", file=sys.stderr)
-                return EXIT_USAGE
-            outputs = {}
-            if args.csv:
-                outputs["boundary_csv"] = args.csv
-            if args.svg:
-                outputs["svg"] = args.svg
-            config = simulate.SimConfig(k=args.k, n=args.n, seed=args.seed, outputs=outputs)
-            config.validate()
-    except simulate.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    error = guard_error("simulate", config.k, args.force)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _sim_config(args)
+    guard_error("simulate", config.k, args.force)
     t0 = time.perf_counter()
     result = simulate.run_simulation(config)
     pi = chain_mod.stationary(chain_mod.build_chain(config.k))
@@ -270,14 +271,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     k = args.k
+    guard_error("verify --suite appendix" if args.suite == "appendix" else "verify", k, args.force)
     t0 = time.perf_counter()
     report = RunReport(command="verify", k=k, inputs={"suite": args.suite})
     reports: list[Report] = []
     if args.suite in ("theorems", "conjectures", "all"):
-        error = guard_error("verify", k, args.force)
-        if error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_USAGE
         mc, pi = _assemble_chain(k)
         if args.suite in ("theorems", "all"):
             reports += _theorem_reports(k, mc, pi)
@@ -290,9 +288,7 @@ def cmd_verify(args) -> int:
     report.verifiers = [r.to_dict() for r in reports]
     report.seconds = time.perf_counter() - t0
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"wrote {args.json}")
+        _write(args.json, report.to_json())
     failed = hard_failures(reports)
     print(
         f"{len(reports)} checks, {sum(r.passed for r in reports)} passed, "
@@ -322,32 +318,24 @@ def appendix_reports(k: int) -> list[Report]:
 
 def cmd_tasep(args) -> int:
     k = args.k
-    try:
-        if args.word:
-            word = tasep.word_from_string(args.word)
-            if len(word) != k + 1:
-                raise ValueError(f"word has {len(word)} letters, expected {k + 1}")
-            state = tasep.alpha(word)
-        elif args.state is not None:
-            state = check_k_bounded(args.state, k)
-            if not is_reduced(state, k):
-                raise ValueError(f"{state!r} is not a reduced state for k={k}")
-            word = tasep.alpha_inv(state, k)
-        else:
-            print("error: provide --word or --state", file=sys.stderr)
-            return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    name = "(" + ",".join(map(str, state)) + ")" if state else "()"
-    print(f"state {name}   l = {multiplicities(state, k)}")
+    guard_error("tasep", k, False)
+    if args.word:
+        word = _parsed(tasep.word_from_string, args.word)
+        if len(word) != k + 1:
+            raise UsageError(f"word has {len(word)} letters, expected {k + 1}")
+        state = tasep.alpha(word)
+    elif args.state is not None:
+        state = _parsed(check_reduced, args.state, k)
+        word = tasep.alpha_inv(state, k)
+    else:
+        raise UsageError("provide --word or --state")
+    print(f"state {_name(state)}   l = {multiplicities(state, k)}")
     print(f"word  {tasep.word_to_string(word)}")
     print(f"factorial index {factorial_index(state, k)}")
     for value, moved in tasep.jumps(word):
-        target = tasep.alpha(moved)
-        tname = "(" + ",".join(map(str, target)) + ")" if target else "()"
         print(
-            f"jump of {value}: {tasep.word_to_string(moved)}  -> column {value}, state {tname}"
+            f"jump of {value}: {tasep.word_to_string(moved)}  "
+            f"-> column {value}, state {_name(tasep.alpha(moved))}"
         )
     return EXIT_OK
 
@@ -408,16 +396,12 @@ def main(argv=None) -> int:
     # tens of times slower on a few cores; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    least = LEAST_K[args.command]
-    if args.k is not None and args.k < least:
-        print(f"error: {args.command} needs k >= {least}, got k={args.k}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
-    except (CacheError, OSError) as exc:  # OSError: a config or output path
+    except (UsageError, OSError) as exc:  # OSError: a config or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"hard assertion failed: {exc}", file=sys.stderr)
         return EXIT_HARD_FAIL
 

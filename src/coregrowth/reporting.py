@@ -2,7 +2,8 @@
 
 Theorem-grade checks must pass (a FAIL is a bug and flips exit codes);
 conjecture-grade checks are findings and never affect exit codes.  A broken
-structural invariant raises ``InvariantError`` instead of returning a record.
+structural invariant raises ``InvariantError`` instead of returning a record;
+refused input raises ``UsageError``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ CONJECTURE = "conjecture"
 class InvariantError(AssertionError):
     """A structural invariant failed: the computation is wrong, not the input.
 
-    Raised explicitly, so it survives ``python -O``; an ``AssertionError``
-    subclass, so the CLI maps it to exit code 1.
+    Raised explicitly, so it survives ``python -O``.  The CLI maps it to exit
+    code 1.
+    """
+
+
+class UsageError(ValueError):
+    """Input the program refuses: a flag, config, word or cache file.
+
+    The CLI prints it as one ``error:`` line and exits with code 2.
     """
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
@@ -35,15 +35,14 @@ from coregrowth.partitions import (
     reduce_rectangles,
 )
 from coregrowth.posets import enumerate_bounded, grown_column, weak_covers_bounded
-from coregrowth.reporting import THEOREM, InvariantError, Report
+from coregrowth.reporting import THEOREM, InvariantError, Report, UsageError
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: the CLI loads this module eagerly
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration."""
-
+# The name the simulator's callers import; a bad config is a usage error.
+ConfigError = UsageError
 
 OUTPUT_KEYS = {"boundary_csv", "rho_csv", "occupancy_csv", "svg", "report_json"}
 
@@ -57,49 +56,51 @@ class SimConfig:
     boundary_samples: int = 2000
     outputs: dict[str, str] = field(default_factory=dict)
 
-    @staticmethod
-    def from_json(text: str) -> "SimConfig":
+    @classmethod
+    def from_dict(cls, obj) -> "SimConfig":
+        """The one constructor of CLI flags and config JSON: keys, then values."""
+        if not isinstance(obj, dict):
+            raise UsageError("config must be a JSON object")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("k", "n"):
+            if key not in obj:
+                raise UsageError(f"config key {key!r} is required")
+        config = cls(**obj)
+        config.validate()
+        return config
+
+    @classmethod
+    def from_json(cls, text: str) -> "SimConfig":
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - {"k", "n", "seed", "checkpoint_every", "boundary_samples", "outputs"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("k", "n"):
-            if key not in obj:
-                raise ConfigError(f"config key {key!r} is required")
-        try:
-            cfg = SimConfig(
-                k=int(obj["k"]),
-                n=int(obj["n"]),
-                seed=int(obj.get("seed", 0)),
-                checkpoint_every=int(obj.get("checkpoint_every", 0)),
-                boundary_samples=int(obj.get("boundary_samples", 2000)),
-                outputs=dict(obj.get("outputs", {})),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
-        cfg.validate()
-        return cfg
+            raise UsageError(f"config is not valid JSON: {exc}") from exc
+        return cls.from_dict(obj)
 
     def validate(self) -> None:
-        """Raise ConfigError unless the run is well defined."""
+        """Raise UsageError unless the run is well defined."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Annotations are strings here.  bool, float and str are refused, not coerced.
+            if f.type == "int" and type(value) is not int:
+                raise UsageError(f"{f.name} must be an integer, not {value!r}")
         if self.k < 2:
-            raise ConfigError("k must be at least 2")
+            raise UsageError("k must be at least 2")
         if self.n < 1:
-            raise ConfigError("n must be positive")
+            raise UsageError("n must be positive")
         if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            raise UsageError("seed must be non-negative")
         if self.checkpoint_every < 0 or self.boundary_samples < 2:
-            raise ConfigError("checkpoint_every must be >= 0 and boundary_samples >= 2")
+            raise UsageError("checkpoint_every must be >= 0 and boundary_samples >= 2")
+        if not isinstance(self.outputs, dict):
+            raise UsageError("outputs must map output keys to paths")
         bad = set(self.outputs) - OUTPUT_KEYS
         if bad:
-            raise ConfigError(f"unknown output keys: {sorted(bad)} (known: {sorted(OUTPUT_KEYS)})")
+            raise UsageError(f"unknown output keys: {sorted(bad)} (known: {sorted(OUTPUT_KEYS)})")
         if not all(isinstance(path, str) for path in self.outputs.values()):
-            raise ConfigError("output paths must be strings")
+            raise UsageError("output paths must be strings")
 
 
 @dataclass
@@ -321,7 +322,7 @@ def core_parts_from_frontiers(frontiers, k: int, max_parts: int = 500_000) -> Pa
     return tuple(parts)
 
 
-def boundary_from_frontiers(frontiers, k: int, n: int, samples: int = 2000) -> list[tuple[float, float]]:
+def boundary_from_frontiers(frontiers, k: int, n: int, samples: int) -> list[tuple[float, float]]:
     """Exact sampled points on the core's staircase, scaled by 1/n.
 
     The bead count above a position is a closed form in the k+1 frontiers,
@@ -348,11 +349,9 @@ def boundary_from_frontiers(frontiers, k: int, n: int, samples: int = 2000) -> l
 
 # --- limit-curve comparison -------------------------------------------------
 
-def limit_curve_vertices(k: int, gamma: float = 1.0) -> list[tuple[float, float]]:
+def limit_curve_vertices(k: int) -> list[tuple[float, float]]:
     """Vertices of the conjectured piecewise-linear limit curve for k-cores."""
-    return [
-        (gamma * comb(i, 2), gamma * comb(k - i + 1, 2)) for i in range(1, k + 1)
-    ]
+    return [(comb(i, 2), comb(k - i + 1, 2)) for i in range(1, k + 1)]
 
 
 def _distances_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -456,18 +455,14 @@ def rho_csv(result: SimResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def occupancy_csv(result: SimResult, pi: chain_mod.StationaryDistribution | None = None) -> str:
-    lines = ["index,parts,visits,frequency" + (",pi" if pi else "")]
+def occupancy_csv(result: SimResult, pi: chain_mod.StationaryDistribution) -> str:
+    lines = ["index,parts,visits,frequency,pi"]
     for i, s in enumerate(enumerate_reduced_states(result.config.k)):
-        row = '%d,"%s",%d,%.12g' % (
-            i,
-            " ".join(map(str, s)),
-            int(result.occupancy[i]),
-            result.occupancy[i] / result.steps,
+        visits = result.occupancy[i]
+        lines.append(
+            '%d,"%s",%d,%.12g,%.12g'
+            % (i, " ".join(map(str, s)), int(visits), visits / result.steps, float(pi.values[i]))
         )
-        if pi:
-            row += ",%.12g" % float(pi.values[i])
-        lines.append(row)
     return "\n".join(lines) + "\n"
 
 
@@ -510,7 +505,7 @@ def overlay_svg(result: SimResult) -> str:
     )
 
 
-def write_outputs(result: SimResult, pi=None) -> list[str]:
+def write_outputs(result: SimResult, pi: chain_mod.StationaryDistribution) -> list[str]:
     written = []
     outs = result.config.outputs
     if "boundary_csv" in outs:
@@ -537,6 +532,10 @@ def write_outputs(result: SimResult, pi=None) -> list[str]:
             "sup_deviation": result.sup_deviation,
             "mean_sq_deviation": result.mean_sq_deviation,
         }
+        if result.config.checkpoint_every:
+            payload["checkpoints"] = [
+                [step, state, list(ledger)] for step, state, ledger in result.checkpoints
+            ]
         _write(outs["report_json"], json.dumps(payload, indent=2, sort_keys=True) + "\n")
         written.append(outs["report_json"])
     return written

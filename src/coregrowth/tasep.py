@@ -30,7 +30,7 @@ def check_word(word) -> Word:
     w = tuple(int(x) for x in word)
     n = len(w)
     if sorted(w) != list(range(1, n + 1)) or n < 1 or w[-1] != n:
-        raise ValueError(f"not a normalized word on 1..{n}: {word!r}")
+        raise ValueError(f"not a normalized word on 1..{n}: {w!r}")
     return w
 
 
@@ -63,13 +63,10 @@ def alpha_inv(parts: Parts, k: int) -> Word:
     return tuple(word)
 
 
-def alpha(word: Word, k: int | None = None) -> Parts:
+def alpha(word: Word) -> Parts:
     """Inverse placement: read off each l_i among the values >= i."""
     word = check_word(word)
-    if k is None:
-        k = len(word) - 1
-    elif k != len(word) - 1:
-        raise ValueError(f"word length {len(word)} does not match k={k}")
+    k = len(word) - 1
     l = []
     for i in range(1, k + 1):
         sub = [v for v in word if v >= i]

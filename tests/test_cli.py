@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from coregrowth import cli
 from coregrowth.cli import build_parser, guard_error, main, parse_partition
+from coregrowth.reporting import InvariantError, UsageError
+from coregrowth.simulate import SimConfig
 
 
 def run_cli(*argv):
@@ -61,7 +64,8 @@ def test_force_lifts_the_k_guard(capsys):
     parser = build_parser()
     for argv in (["chain"], ["verify"], ["verify", "--suite", "theorems"], ["simulate", "--n", "10"]):
         args = parser.parse_args([*argv, "--k", "7"])
-        assert "guarded range 2..6" in guard_error(args.command, args.k, args.force)
+        with pytest.raises(UsageError, match=r"guarded range 2\.\.6"):
+            guard_error(args.command, args.k, args.force)
         args = parser.parse_args([*argv, "--k", "7", "--force"])
         assert guard_error(args.command, args.k, args.force) is None
         args = parser.parse_args([*argv, "--k", "6"])
@@ -70,10 +74,17 @@ def test_force_lifts_the_k_guard(capsys):
     assert guard_error("tasep", 9, False) is None
     # dims tabulating all k! reduced states is guarded; one partition is not
     args = parser.parse_args(["dims", "--k", "7", "--all-reduced"])
-    assert "guarded range 1..6" in guard_error("dims --all-reduced", args.k, args.force)
+    with pytest.raises(UsageError, match=r"guarded range 1\.\.6"):
+        guard_error("dims --all-reduced", args.k, args.force)
     args = parser.parse_args(["dims", "--k", "7", "--all-reduced", "--force"])
     assert guard_error("dims --all-reduced", args.k, args.force) is None
     assert guard_error("dims --all-reduced", 6, False) is None
+    # --force lifts only the upper bound; the appendix suite has only the lower one
+    with pytest.raises(UsageError, match="chain needs k >= 2, got k=1"):
+        guard_error("chain", 1, True)
+    assert guard_error("verify --suite appendix", 9, False) is None
+    with pytest.raises(UsageError, match="verify needs k >= 2, got k=1"):
+        guard_error("verify --suite appendix", 1, False)
     assert run_cli("dims", "--k", "9", "2,1") == 0
     capsys.readouterr()
     # the appendix suite builds no chain, so it needs no --force
@@ -355,7 +366,10 @@ def cli_input(draw):
 @settings(max_examples=150, deadline=None)
 @given(cli_input())
 def test_fuzzed_argv_exits_0_1_or_2(case):
-    """Any argv ends in exit 0, 1 or 2 (argparse's usage exit counts as 2)."""
+    """Any argv ends in exit 0 or 2 (argparse's usage exit counts as 2).
+
+    Exit 1 means a theorem or invariant failed, and none fails at k <= 4.
+    """
     argv, config = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -369,7 +383,95 @@ def test_fuzzed_argv_exits_0_1_or_2(case):
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert code in (0, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+# --- the input contract -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"k": 3.7, "n": True, "seed": 2.9},
+        {"k": "3", "n": 100},
+        {"k": 3, "n": 100.0},
+        {"k": 3, "n": True},
+        {"k": 3, "n": 100, "seed": 2.0},
+        {"k": 3, "n": 100, "checkpoint_every": "10"},
+        {"k": 3, "n": 100, "boundary_samples": False},
+    ],
+    ids=json.dumps,
+)
+def test_config_integers_are_strict(tmp_path, capsys, config):
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps(config))
+    assert run_cli("simulate", "--config", str(cpath)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and "must be an integer" in line
+
+
+def test_flags_and_config_build_one_config(tmp_path, monkeypatch):
+    """The flag path and the config path go through one constructor."""
+    built = []
+
+    class Stop(Exception):
+        pass
+
+    def record(config):
+        built.append(config)
+        raise Stop
+
+    monkeypatch.setattr(cli.simulate, "run_simulation", record)
+    text = json.dumps({"k": 3, "n": 100, "seed": 2, "outputs": {"boundary_csv": "b.csv"}})
+    cpath = tmp_path / "run.json"
+    cpath.write_text(text)
+    for argv in (
+        ["simulate", "--k", "3", "--n", "100", "--seed", "2", "--csv", "b.csv"],
+        ["simulate", "--config", str(cpath)],
+    ):
+        with pytest.raises(Stop):
+            run_cli(*argv)
+    assert built[0] == built[1] == SimConfig.from_dict(json.loads(text))
+    assert built[0] == SimConfig(k=3, n=100, seed=2, outputs={"boundary_csv": "b.csv"})
+
+
+def test_exit_1_means_an_invariant_failed(monkeypatch, capsys):
+    """Exit 1 is a hard failure; a bug's own exception is not turned into an exit code."""
+    word = ["tasep", "--k", "2", "--word", "1-2-3"]
+
+    def fail(exc):
+        def raiser(*args):
+            raise exc
+
+        return raiser
+
+    monkeypatch.setattr(cli.tasep, "jumps", fail(InvariantError("broken")))
+    assert run_cli(*word) == 1
+    assert "hard assertion failed: broken" in capsys.readouterr().err
+    monkeypatch.setattr(cli.tasep, "jumps", fail(AssertionError("bare")))
+    with pytest.raises(AssertionError, match="bare"):
+        run_cli(*word)
+    monkeypatch.setattr(cli.tasep, "alpha", fail(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        run_cli(*word)
+
+
+def test_usage_exit_has_one_site():
+    """Only ``main`` returns EXIT_USAGE or prints an ``error:`` line."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    sites = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return) and node.value is not None:
+                if ast.unparse(node.value) in ("EXIT_USAGE", "2"):
+                    sites.append(("return", func.name))
+            if isinstance(node, ast.Constant) and str(node.value).startswith("error:"):
+                sites.append(("error:", func.name))
+    assert sorted(sites) == [("error:", "main"), ("return", "main")]

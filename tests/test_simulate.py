@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -148,6 +149,16 @@ def test_config_parsing():
         SimConfig(k=2, n=0).validate()
     with pytest.raises(ConfigError):
         SimConfig.from_json('{"k": 3, "n": 10, "seed": -1}')
+    # a float, bool or string integer field is refused, never coerced
+    for value in (3.0, True, "3"):
+        for key in ("k", "n", "seed", "checkpoint_every", "boundary_samples"):
+            obj = {"k": 3, "n": 10, key: value}
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                SimConfig.from_dict(obj)
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                SimConfig(**obj).validate()
+    with pytest.raises(ConfigError, match="outputs must map"):
+        SimConfig.from_json('{"k": 3, "n": 10, "outputs": 5}')
 
 
 def test_projection_consistency():
@@ -277,6 +288,25 @@ def test_output_files(tmp_path):
     assert rho_csv(result).count("\n") == 4
     assert occupancy_csv(result, pi).count("\n") == 7
     assert overlay_svg(result).endswith("</svg>\n")
+
+
+def test_checkpoints_reach_the_report(tmp_path):
+    """checkpoint_every > 0 adds the checkpoints to report_json; 0 leaves it as it was."""
+    pi = stationary(build_chain(3))
+    payloads = []
+    for every in (0, 250):
+        path = tmp_path / f"rep{every}.json"
+        cfg = SimConfig(k=3, n=1000, seed=3, checkpoint_every=every, outputs={"report_json": str(path)})
+        result = run_simulation(cfg)
+        write_outputs(result, pi)
+        payloads.append(json.loads(path.read_text()))
+    plain, checked = payloads
+    assert "checkpoints" not in plain
+    assert checked.pop("checkpoints") == [
+        [step, state, list(ledger)] for step, state, ledger in result.checkpoints
+    ]
+    assert [c[0] for c in result.checkpoints] == [250, 500, 750, 1000]
+    assert checked == plain
 
 
 def test_occupancy_matches_pi_k4_long_run():
