@@ -4,7 +4,11 @@ States are the reduced k-bounded partitions.  A move grows one column of the
 state (a box addition that the weak order permits); if that completes a
 k-rectangle the rectangle is deleted, so moves that remove and moves that
 do not share one code path through ``reduce_cover``.  Rates are exact
-rationals d(cover) / ((n+1) d(state)); each row sums to one.
+rationals d(cover) / ((n+1) d(state)).  ``build_chain`` certifies that each
+row sums to one and that each move conserves boxes (the target holds one box
+more than its state, less the deleted rectangle); it raises
+``InvariantError`` otherwise.  The built chain is the one home of the moves:
+the TASEP verifiers and the simulator read them from it.
 
 ``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
 the normalized system proposes x; the candidate is round(x_i M_k) / M_k,
@@ -51,9 +55,8 @@ from coregrowth.reporting import CONJECTURE, THEOREM, InvariantError, Report
 
 @dataclass(frozen=True)
 class Move:
-    """One transition: grow ``column`` of ``source``, maybe drop a rectangle."""
+    """One transition out of a state: grow ``column``, maybe drop a rectangle."""
 
-    source: Parts
     column: int
     target: Parts
     removed: int | None  # rectangle type deleted by this move, if any
@@ -64,7 +67,7 @@ class Move:
 class MarkovChain:
     k: int
     states: tuple[Parts, ...]  # factorial-index order
-    moves: list[list[Move]]  # per source state
+    moves: list[list[Move]]  # moves[i]: the moves out of states[i]
     matrix: list[dict[int, Fraction]]  # sparse rows, aggregated over moves
 
     @property
@@ -104,8 +107,11 @@ def build_chain(k: int) -> MarkovChain:
         out = []
         for cover in weak_covers_bounded(src, k):
             target, removed = reduce_cover(cover, k)
+            area = rectangle_area(removed, k) if removed else 0
+            if sum(target) != n + 1 - area:
+                raise InvariantError(f"move {src!r} -> {target!r} does not conserve boxes")
             rate = Fraction(table[bounded_to_core(cover, k)], (n + 1) * d_src)
-            out.append(Move(src, grown_column(src, cover), target, removed, rate))
+            out.append(Move(grown_column(src, cover), target, removed, rate))
             ti = factorial_index(target, k)
             row[ti] = row.get(ti, Fraction(0)) + rate
         total = sum(m.rate for m in out)

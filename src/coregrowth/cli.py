@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -111,50 +110,9 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache or os.environ.get(CACHE_ENV)
-
-
-def _load_dim_cache(k: int, cache: str | None) -> str | None:
-    if not cache:
-        return None
-    path = os.path.join(cache, f"dimtable_k{k}.json")
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                dimensions.load_dimension_table(fh.read(), k)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cache file {path}: {exc}; delete it to rebuild") from exc
-    return path
-
-
-def _save_dim_cache(k: int, path: str | None) -> None:
-    """Write the table through a temporary file, so readers never see half of it."""
-    if not path:
-        return
-    table = dimensions._TABLES.get(k)
-    if table is None:
-        return
-    text = dimensions.dimension_table_json(k, table.max_level)
-    directory = os.path.dirname(path) or "."
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dimtable_", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise UsageError(f"cache file {path}: {exc}") from exc
-
-
 def cmd_dims(args) -> int:
     k = args.k
     guard_error("dims --all-reduced" if args.all_reduced else "dims", k, args.force)
-    cache_path = _load_dim_cache(k, _cache_dir(args))
     if args.all_reduced:
         targets = list(enumerate_reduced_states(k))
     else:
@@ -171,7 +129,6 @@ def cmd_dims(args) -> int:
         print(f"{_name(lam):>20} {d_strong:>12} {d_weak:>12} {d_hook:>12}  {flag}")
         if not ok:
             return EXIT_HARD_FAIL
-    _save_dim_cache(k, cache_path)
     return EXIT_OK
 
 
@@ -187,8 +144,8 @@ def _theorem_reports(k: int, mc, pi) -> list[Report]:
         chain_mod.verify_rate_one_over_k(mc),
         chain_mod.verify_conjugation_symmetry(mc, pi),
         chain_mod.verify_rho_symmetry(mc, pi),
-        tasep.verify_tasep_equivalence(k),
-        tasep.verify_rectangle_jump(k),
+        tasep.verify_tasep_equivalence(mc),
+        tasep.verify_rectangle_jump(mc),
         simulate.verify_projection(k, 10),
         chain_mod.verify_stationarity_identity(k, 6),
         chain_mod.verify_normalization(k, 6),
@@ -209,10 +166,8 @@ def cmd_chain(args) -> int:
     k = args.k
     guard_error("chain", k, args.force)
     t0 = time.perf_counter()
-    cache_path = _load_dim_cache(k, _cache_dir(args))
     mc, pi = _assemble_chain(k)
     reports = _theorem_reports(k, mc, pi) + _conjecture_reports(k, mc, pi)
-    _save_dim_cache(k, cache_path)
     print(f"chain on {mc.size} states, k={k}")
     print(f"lcd(pi) = {pi.lcd}")
     for i, s in enumerate(mc.states):
@@ -397,7 +352,8 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with dimensions.table_cache(args.cache or os.environ.get(CACHE_ENV)):
+            return args.func(args)
     except (UsageError, OSError) as exc:  # OSError: a config or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

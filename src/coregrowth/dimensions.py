@@ -24,11 +24,16 @@ displacement, computed once per term set.  The vanishing check evaluates the
 full triangle by its Jacobi-Trudi determinant N! det[1/(v_i + j - i)!]
 (O(t^3) exact arithmetic); the t!-term inversion expansion stays as its
 oracle, which the property suite compares it against.
+
+``table_cache`` is the one reader and writer of the tables' disk cache.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -43,7 +48,7 @@ from coregrowth.partitions import (
     multiplicities,
 )
 from coregrowth.posets import cores_of_level, contains, enumerate_bounded, skew_components
-from coregrowth.reporting import InvariantError
+from coregrowth.reporting import InvariantError, UsageError
 
 Pair = tuple[int, int]
 
@@ -160,9 +165,19 @@ class _DimTable:
 
 _TABLES: dict[int, _DimTable] = {}
 
+# The directory of the active ``table_cache``, and the levels each k's file
+# held when the table was first asked for (-1 for no file).
+_cache_dir: str | None = None
+_file_levels: dict[int, int] = {}
+
 
 def dimension_table(k: int, max_size: int) -> dict[Parts, int]:
-    """Dimension of every (k+1)-core of bounded size up to ``max_size``."""
+    """Dimension of every (k+1)-core of bounded size up to ``max_size``.
+
+    Inside ``table_cache`` the first call for a k merges that k's cache file.
+    """
+    if _cache_dir is not None and k not in _file_levels:
+        _file_levels[k] = _load_cache_file(k)
     table = _TABLES.setdefault(k, _DimTable(k))
     table.extend(max_size)
     return table.by_core
@@ -177,23 +192,24 @@ def strong_dim_tableaux(parts: Parts, k: int) -> int:
 
 def dimension_table_json(k: int, max_size: int) -> str:
     table = dimension_table(k, max_size)
-    values = {
-        ",".join(map(str, core_to_bounded(core, k))): str(d)
-        for core, d in table.items()
-        if sum(core_to_bounded(core, k)) <= max_size
-    }
+    values = {}
+    for core, d in table.items():
+        parts = core_to_bounded(core, k)
+        if sum(parts) <= max_size:
+            values[",".join(map(str, parts))] = str(d)
     return json.dumps(
         {"format": DIMTABLE_FORMAT, "k": k, "max_size": max_size, "values": values},
         sort_keys=True,
     )
 
 
-def load_dimension_table(text: str, k: int) -> None:
+def load_dimension_table(text: str, k: int) -> int:
     """Merge a serialized table for ``k`` into the in-memory cache.
 
-    Raises ValueError, before merging anything, when the text is not JSON,
-    has another format, is for another k, holds malformed entries or lacks
-    a partition of a size up to the ``max_size`` it claims.
+    Returns the ``max_size`` the text holds.  Raises ValueError, before
+    merging anything, when the text is not JSON, has another format, is for
+    another k, holds malformed entries or lacks a partition of a size up to
+    the ``max_size`` it claims.
     """
     try:
         obj = json.loads(text)
@@ -220,6 +236,66 @@ def load_dimension_table(text: str, k: int) -> None:
     table = _TABLES.setdefault(k, _DimTable(k))
     table.by_core.update(entries)
     table.max_level = max(table.max_level, max_size)
+    return max_size
+
+
+def _cache_path(k: int) -> str:
+    return os.path.join(_cache_dir, f"dimtable_k{k}.json")
+
+
+def _load_cache_file(k: int) -> int:
+    """Merge k's cache file, if there is one; the levels it held, or -1."""
+    path = _cache_path(k)
+    if not os.path.exists(path):
+        return -1
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load_dimension_table(fh.read(), k)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cache file {path}: {exc}; delete it to rebuild") from exc
+
+
+def _save_cache_file(k: int) -> None:
+    """Write k's table through a temporary file, so readers never see half of it."""
+    path = _cache_path(k)
+    text = dimension_table_json(k, _TABLES[k].max_level)
+    try:
+        os.makedirs(_cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=_cache_dir, prefix=".dimtable_", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cache file {path}: {exc}") from exc
+
+
+@contextmanager
+def table_cache(directory: str | None):
+    """Keep each k's dimension table in ``directory/dimtable_k{k}.json``.
+
+    While active, the first ``dimension_table`` call for a k merges that k's
+    file; a file that fails validation raises ``UsageError``.  On a normal
+    exit each table that now holds more levels than its file is written
+    back; after an exception nothing is written.  ``None`` or ``""`` turns
+    the cache off.
+    """
+    global _cache_dir
+    if not directory:
+        yield
+        return
+    _cache_dir = directory
+    try:
+        yield
+        for k, levels in _file_levels.items():
+            if _TABLES[k].max_level > levels:
+                _save_cache_file(k)
+    finally:
+        _cache_dir = None
+        _file_levels.clear()
 
 
 # --- triangle operator calculus ------------------------------------------

@@ -156,9 +156,6 @@ def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
         for m in moves:
             acc += float(m.rate)
             row.append(acc)
-            area = rectangle_area(m.removed, k) if m.removed else 0
-            if sum(m.target) != sum(m.source) + 1 - area:
-                raise InvariantError(f"move {m.source!r} -> {m.target!r} does not conserve boxes")
         row[-1] = 1.0 + 1e-12  # guard the top bucket
         cums.append(row)
         targets.append([factorial_index(m.target, k) for m in moves])
@@ -338,7 +335,10 @@ def boundary_from_frontiers(frontiers, k: int, n: int, samples: int) -> list[tup
     first_vac = next(p for p in range(bottom + 1, bottom + r + 2) if frontiers[p % r] < p)
     rows = above(first_vac - 1)  # rows with at least one vacancy below
     base = above(bottom)
-    positions = sorted({bottom + (top - bottom) * t // (samples - 1) for t in range(samples)})
+    if samples > top - bottom:
+        positions = range(bottom, top + 1)  # the samples hit every position
+    else:
+        positions = sorted({bottom + (top - bottom) * t // (samples - 1) for t in range(samples)})
     pts = []
     for p in positions:
         x = (p - bottom) - (base - above(p))
@@ -394,14 +394,21 @@ def compare_to_limit(boundary_pts, k: int) -> tuple[float, float, float]:
     grid = np.linspace(lo, hi, 80)
     gamma = float(grid[int(np.argmin([objective(g) for g in grid]))])
     step = (hi - lo) / 79.0
+    # Golden-section refinement: the surviving inner point is the next
+    # bracket's other inner point, so each step evaluates one new point.
+    golden = 0.6180339887498949
     a, b = gamma - step, gamma + step
-    for _ in range(70):  # golden-section refinement
-        m1 = b - (b - a) * 0.6180339887498949
-        m2 = a + (b - a) * 0.6180339887498949
-        if objective(m1) <= objective(m2):
-            b = m2
+    m1, m2 = b - (b - a) * golden, a + (b - a) * golden
+    f1, f2 = objective(m1), objective(m2)
+    for _ in range(70):
+        if f1 <= f2:
+            b, m2, f2 = m2, m1, f1
+            m1 = b - (b - a) * golden
+            f1 = objective(m1)
         else:
-            a = m1
+            a, m1, f1 = m1, m2, f2
+            m2 = a + (b - a) * golden
+            f2 = objective(m2)
     gamma = (a + b) / 2.0
     dist = _distances_to_polyline(pts, gamma * base)
     return gamma, float(dist.max()), float(np.mean(dist**2))

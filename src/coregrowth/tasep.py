@@ -5,23 +5,26 @@ with k+1 held in the last slot.  A value jumps by swapping with its cyclic
 left neighbor whenever that neighbor is larger.  ``alpha``/``alpha_inv``
 realize the bijection with the reduced k-bounded partitions: value i is
 placed l_i cyclic steps to the left of i+1, ignoring everything smaller.
+The verifiers compare the jumps of each state's word with the moves of a
+chain that ``chain.build_chain`` built, so they certify that chain itself.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from typing import TYPE_CHECKING
 
 from coregrowth.partitions import (
     Parts,
     bounded_to_core,
     check_reduced,
-    enumerate_reduced_states,
     multiplicities,
     parts_from_multiplicities,
-    reduce_cover,
 )
-from coregrowth.posets import grown_column, weak_covers_bounded
 from coregrowth.reporting import THEOREM, Report
+
+if TYPE_CHECKING:
+    from coregrowth.chain import MarkovChain
 
 Word = tuple[int, ...]
 
@@ -135,36 +138,31 @@ def alpha_via_core(parts: Parts, k: int) -> Word:
 
 # --- verifiers -------------------------------------------------------------
 
-def verify_tasep_equivalence(k: int) -> Report:
-    """Column moves of every reduced state match the jumps of its word."""
+def verify_tasep_equivalence(mc: MarkovChain) -> Report:
+    """The built chain's moves out of every state are the jumps of its word."""
+    k = mc.k
     bad = None
-    for s in enumerate_reduced_states(k):
-        chain_side = {}
-        for cover in weak_covers_bounded(s, k):
-            chain_side[grown_column(s, cover)] = reduce_cover(cover, k)[0]
-        word = alpha_inv(s, k)
-        tasep_side = {value: alpha(moved) for value, moved in jumps(word)}
+    for s, moves in zip(mc.states, mc.moves):
+        chain_side = sorted((m.column, m.target) for m in moves)
+        tasep_side = [(value, alpha(moved)) for value, moved in jumps(alpha_inv(s, k))]
         if chain_side != tasep_side:
-            bad = {"state": s, "chain": chain_side, "tasep": tasep_side}
+            bad = {"state": s, "chain": dict(chain_side), "tasep": dict(tasep_side)}
             break
     return Report("tasep-equivalence", THEOREM, bad is None, {"k": k}, bad)
 
 
-def verify_rectangle_jump(k: int) -> Report:
+def verify_rectangle_jump(mc: MarkovChain) -> Report:
     """A move deletes the type-i rectangle iff i swaps past i+1 on the ring."""
+    k = mc.k
     bad = None
-    for s in enumerate_reduced_states(k):
+    for s, moves in zip(mc.states, mc.moves):
         word = alpha_inv(s, k)
         pos = value_positions(word)
-        for cover in weak_covers_bounded(s, k):
-            column = grown_column(s, cover)
-            removed = reduce_cover(cover, k)[1]
-            left = word[pos[column] - 2] if pos[column] >= 2 else word[-1]
-            swaps_next = left == column + 1
-            if (removed == column) != swaps_next or (
-                removed is not None and removed != column
-            ):
-                bad = {"state": s, "column": column, "removed": removed}
+        for m in moves:
+            left = word[pos[m.column] - 2] if pos[m.column] >= 2 else word[-1]
+            swaps_next = left == m.column + 1
+            if m.removed != (m.column if swaps_next else None):
+                bad = {"state": s, "column": m.column, "removed": m.removed}
                 break
         if bad:
             break

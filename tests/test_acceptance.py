@@ -118,8 +118,8 @@ def test_criterion_6_theorem_suite():
             chain_mod.verify_rate_one_over_k(mc),
             chain_mod.verify_conjugation_symmetry(mc, pi),
             chain_mod.verify_rho_symmetry(mc, pi),
-            tasep.verify_tasep_equivalence(k),
-            tasep.verify_rectangle_jump(k),
+            tasep.verify_tasep_equivalence(mc),
+            tasep.verify_rectangle_jump(mc),
             simulate.verify_projection(k, 10),
         ]
         failures += [(k, r.name) for r in hard_failures(reports)]

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -210,6 +211,59 @@ def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
     not_a_dir.write_text("")
     assert run_cli("--cache", str(not_a_dir), "dims", "--k", "3", "2,1") == 2
     assert capsys.readouterr().err.startswith("error: cache file")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--k", "3", "--all-reduced"],
+        ["chain", "--k", "3"],
+        ["verify", "--k", "3", "--suite", "conjectures"],
+        ["simulate", "--k", "3", "--n", "1000", "--seed", "4"],
+    ],
+    ids=" ".join,
+)
+def test_warm_cache_computes_no_table_level(tmp_path, capsys, monkeypatch, argv):
+    """Every command that builds a dimension table reads and writes the cache."""
+    cache = str(tmp_path / "cache")
+    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+    assert run_cli("--cache", cache, *argv) == 0
+    cold = capsys.readouterr().out
+    assert (tmp_path / "cache" / "dimtable_k3.json").exists()
+
+    def no_levels(k, n):
+        raise AssertionError(f"level {n} of the k={k} table was computed")
+
+    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+    monkeypatch.setattr(cli.dimensions, "cores_of_level", no_levels)
+    assert run_cli("--cache", cache, *argv) == 0
+    warm = capsys.readouterr().out
+
+    def untimed(out):
+        return re.sub(r"\d+\.\d+s", "", out)
+
+    assert untimed(warm) == untimed(cold)
+
+
+def test_unchanged_table_is_not_rewritten(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
+    before = (cache / "dimtable_k3.json").stat()
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
+    after = (cache / "dimtable_k3.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cache_is_off_outside_main(tmp_path, capsys):
+    """A failed run writes nothing, and no cache outlives its ``main`` call."""
+    cache = tmp_path / "cache"
+    out = str(tmp_path / "no_such_dir" / "pi.csv")
+    assert run_cli("--cache", str(cache), "chain", "--k", "2", "--csv", out) == 2
+    assert not cache.exists()
+    assert run_cli("--cache", str(cache), "dims", "--k", "2", "1") == 0
+    assert [p.name for p in cache.iterdir()] == ["dimtable_k2.json"]
+    cli.dimensions.dimension_table(4, 2)
+    assert [p.name for p in cache.iterdir()] == ["dimtable_k2.json"]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

@@ -201,6 +201,37 @@ def test_boundary_from_frontiers_lies_on_staircase():
         assert heights[x] <= y <= (heights[x - 1] if x else len(core))
 
 
+def reference_boundary(frontiers, k, n, samples):
+    """``boundary_from_frontiers`` with positions always from ``range(samples)``."""
+    r = k + 1
+    top, bottom = max(frontiers), min(frontiers)
+
+    def above(x):
+        return sum((g - x + r - 1) // r for g in frontiers if g > x)
+
+    first_vac = next(p for p in range(bottom + 1, bottom + r + 2) if frontiers[p % r] < p)
+    rows = above(first_vac - 1)
+    base = above(bottom)
+    positions = sorted({bottom + (top - bottom) * t // (samples - 1) for t in range(samples)})
+    pts = []
+    for p in positions:
+        pts.append((((p - bottom) - (base - above(p))) / n, min(above(p), rows) / n))
+    return sorted(set(pts))
+
+
+def test_boundary_samples_past_the_spread_cost_nothing_more():
+    """Past top - bottom samples every position is hit, whatever ``samples`` is."""
+    k, n = 3, 1000
+    frontiers = run_simulation(SimConfig(k=k, n=n, seed=5)).frontiers
+    spread = max(frontiers) - min(frontiers)
+    assert spread > 20
+    every = simulate.boundary_from_frontiers(frontiers, k, n, spread + 1)
+    assert simulate.boundary_from_frontiers(frontiers, k, n, 10**12) == every
+    for samples in (2, 3, 7, spread // 2, spread - 1, spread, spread + 1, spread + 2, 3 * spread, 10**4):
+        expected = reference_boundary(frontiers, k, n, samples)
+        assert simulate.boundary_from_frontiers(frontiers, k, n, samples) == expected
+
+
 def test_determinism_and_seed_sensitivity():
     a = run_simulation(SimConfig(k=3, n=5000, seed=42, checkpoint_every=1000))
     b = run_simulation(SimConfig(k=3, n=5000, seed=42, checkpoint_every=1000))
@@ -236,6 +267,49 @@ def test_compare_to_limit_symmetry():
     assert g1 == pytest.approx(g2, rel=1e-6)
     assert sup1 == pytest.approx(sup2, rel=1e-6)
     assert ms1 == pytest.approx(ms2, rel=1e-6)
+
+
+def reference_fit(boundary_pts, k):
+    """``compare_to_limit`` with two objective calls per golden-section step."""
+    pts = np.asarray(boundary_pts, dtype=float)
+    base = np.asarray(limit_curve_vertices(k + 1), dtype=float)
+
+    def objective(gamma: float) -> float:
+        return float(np.mean(simulate._distances_to_polyline(pts, gamma * base) ** 2))
+
+    extent = max(pts[:, 0].max(), pts[:, 1].max(), 1e-12)
+    guess = extent / math.comb(k + 1, 2)
+    lo, hi = guess / 4.0, guess * 4.0
+    grid = np.linspace(lo, hi, 80)
+    gamma = float(grid[int(np.argmin([objective(g) for g in grid]))])
+    step = (hi - lo) / 79.0
+    a, b = gamma - step, gamma + step
+    for _ in range(70):  # golden-section refinement
+        m1 = b - (b - a) * 0.6180339887498949
+        m2 = a + (b - a) * 0.6180339887498949
+        if objective(m1) <= objective(m2):
+            b = m2
+        else:
+            a = m1
+    gamma = (a + b) / 2.0
+    dist = simulate._distances_to_polyline(pts, gamma * base)
+    return gamma, float(dist.max()), float(np.mean(dist**2))
+
+
+@pytest.mark.parametrize("k, n, seed", [(3, 30_000, 1), (3, 30_000, 2), (5, 20_000, 3)])
+def test_fit_evaluates_one_point_per_golden_step(monkeypatch, k, n, seed):
+    boundary = run_simulation(SimConfig(k=k, n=n, seed=seed)).boundary
+    reference = reference_fit(boundary, k)
+    calls = []
+    distances = simulate._distances_to_polyline
+    monkeypatch.setattr(
+        simulate, "_distances_to_polyline", lambda *a: calls.append(1) or distances(*a)
+    )
+    gamma, sup, mean_sq = compare_to_limit(boundary, k)
+    assert len(calls) == 80 + 2 + 70 + 1
+    assert gamma == pytest.approx(reference[0], rel=1e-9)
+    assert sup == pytest.approx(reference[1], rel=1e-6)
+    assert mean_sq == pytest.approx(reference[2], rel=1e-9)
 
 
 def test_deviation_shrinks_with_n():

@@ -1,5 +1,10 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
+from coregrowth import chain as chain_mod
+from coregrowth.chain import MarkovChain, Move, build_chain
 from coregrowth.partitions import (
     EMPTY,
     complement,
@@ -7,6 +12,7 @@ from coregrowth.partitions import (
     maximal_state,
 )
 from coregrowth.posets import weak_covers_bounded
+from coregrowth.reporting import InvariantError
 from coregrowth.tasep import (
     alpha,
     alpha_inv,
@@ -137,10 +143,43 @@ def test_word_serialization():
         word_from_string("2-3-1")  # largest value not last
 
 
+def k1_chain() -> MarkovChain:
+    """The one-state k=1 chain, written out: ``build_chain`` needs k >= 2.
+
+    Growing the empty partition completes the 1-rectangle, which is deleted.
+    """
+    return MarkovChain(1, (EMPTY,), [[Move(1, EMPTY, 1, Fraction(1))]], [{0: Fraction(1)}])
+
+
 def test_equivalence_and_rectangle_witness():
-    for k in (1, 2, 3, 4):
-        assert verify_tasep_equivalence(k).passed
-        assert verify_rectangle_jump(k).passed
+    for mc in (k1_chain(), *(build_chain(k) for k in (2, 3, 4, 5))):
+        assert verify_tasep_equivalence(mc).passed
+        assert verify_rectangle_jump(mc).passed
+
+
+def test_verifiers_read_the_chain_they_are_given():
+    """A chain whose moves are not the word's jumps fails the verifiers."""
+    mc = build_chain(3)
+    moves = [list(row) for row in mc.moves]
+    first, second = moves[1][:2]
+    moves[1][0] = dataclasses.replace(first, column=second.column)
+    moves[1][1] = dataclasses.replace(second, column=first.column)
+    swapped = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+    report = verify_tasep_equivalence(swapped)
+    assert not report.passed and report.witness["state"] == mc.states[1]
+    # a removal the word does not show fails the rectangle witness
+    moves = [list(row) for row in mc.moves]
+    i, j = next((i, j) for i, row in enumerate(moves) for j, m in enumerate(row) if m.removed)
+    moves[i][j] = dataclasses.replace(moves[i][j], removed=None)
+    assert not verify_rectangle_jump(MarkovChain(mc.k, mc.states, moves, mc.matrix)).passed
+
+
+def test_build_chain_certifies_box_conservation(monkeypatch):
+    """A move whose target misses the deleted rectangle's boxes raises."""
+    reduce_cover = chain_mod.reduce_cover
+    monkeypatch.setattr(chain_mod, "reduce_cover", lambda cover, k: (reduce_cover(cover, k)[0], None))
+    with pytest.raises(InvariantError, match="does not conserve boxes"):
+        build_chain(3)
 
 
 def test_alpha_inv_after_alpha_on_all_words():
