@@ -352,8 +352,10 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        with dimensions.table_cache(args.cache or os.environ.get(CACHE_ENV)):
-            return args.func(args)
+        with dimensions.table_cache(args.cache or os.environ.get(CACHE_ENV)) as cache:
+            code = args.func(args)
+            cache.save = code == EXIT_OK  # a failed check leaves the cache as it was
+            return code
     except (UsageError, OSError) as exc:  # OSError: a config or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

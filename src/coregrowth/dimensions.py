@@ -273,26 +273,34 @@ def _save_cache_file(k: int) -> None:
         raise UsageError(f"cache file {path}: {exc}") from exc
 
 
+class CacheRun:
+    """The handle ``table_cache`` yields; set ``save`` false to skip the write-back."""
+
+    save = True
+
+
 @contextmanager
 def table_cache(directory: str | None):
     """Keep each k's dimension table in ``directory/dimtable_k{k}.json``.
 
     While active, the first ``dimension_table`` call for a k merges that k's
     file; a file that fails validation raises ``UsageError``.  On a normal
-    exit each table that now holds more levels than its file is written
-    back; after an exception nothing is written.  ``None`` or ``""`` turns
-    the cache off.
+    exit with the yielded handle's ``save`` still true, each table that now
+    holds more levels than its file is written back; after an exception
+    nothing is written.  ``None`` or ``""`` turns the cache off.
     """
     global _cache_dir
+    run = CacheRun()
     if not directory:
-        yield
+        yield run
         return
     _cache_dir = directory
     try:
-        yield
-        for k, levels in _file_levels.items():
-            if _TABLES[k].max_level > levels:
-                _save_cache_file(k)
+        yield run
+        if run.save:
+            for k, levels in _file_levels.items():
+                if _TABLES[k].max_level > levels:
+                    _save_cache_file(k)
     finally:
         _cache_dir = None
         _file_levels.clear()

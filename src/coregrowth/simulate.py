@@ -335,10 +335,10 @@ def boundary_from_frontiers(frontiers, k: int, n: int, samples: int) -> list[tup
     first_vac = next(p for p in range(bottom + 1, bottom + r + 2) if frontiers[p % r] < p)
     rows = above(first_vac - 1)  # rows with at least one vacancy below
     base = above(bottom)
-    if samples > top - bottom:
-        positions = range(bottom, top + 1)  # the samples hit every position
-    else:
-        positions = sorted({bottom + (top - bottom) * t // (samples - 1) for t in range(samples)})
+    # Past top - bottom + 2 samples the step is below 1 and every position is
+    # already hit, so more samples add nothing but work.
+    count = min(samples, top - bottom + 2)
+    positions = sorted({bottom + (top - bottom) * t // (count - 1) for t in range(count)})
     pts = []
     for p in positions:
         x = (p - bottom) - (base - above(p))

@@ -254,6 +254,16 @@ def test_unchanged_table_is_not_rewritten(tmp_path, capsys):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
+def test_failed_check_writes_no_cache(tmp_path, capsys, monkeypatch):
+    """A run that exits 1 on a failed check leaves the cache as it was."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+    monkeypatch.setattr(cli.dimensions, "hook_dim", lambda lam: -1)
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 1
+    assert "VIOLATED" in capsys.readouterr().out
+    assert not cache.exists()
+
+
 def test_cache_is_off_outside_main(tmp_path, capsys):
     """A failed run writes nothing, and no cache outlives its ``main`` call."""
     cache = tmp_path / "cache"

@@ -10,8 +10,9 @@ from coregrowth.partitions import (
     complement,
     enumerate_reduced_states,
     maximal_state,
+    reduce_cover,
 )
-from coregrowth.posets import weak_covers_bounded
+from coregrowth.posets import grown_column, weak_covers_bounded
 from coregrowth.reporting import InvariantError
 from coregrowth.tasep import (
     alpha,
@@ -144,11 +145,16 @@ def test_word_serialization():
 
 
 def k1_chain() -> MarkovChain:
-    """The one-state k=1 chain, written out: ``build_chain`` needs k >= 2.
+    """The one-state k=1 chain, from the move derivation ``build_chain`` uses.
 
-    Growing the empty partition completes the 1-rectangle, which is deleted.
+    ``build_chain`` needs k >= 2, so its loop is run here for the one state:
+    growing the empty partition completes the 1-rectangle, which is deleted.
     """
-    return MarkovChain(1, (EMPTY,), [[Move(1, EMPTY, 1, Fraction(1))]], [{0: Fraction(1)}])
+    (cover,) = weak_covers_bounded(EMPTY, 1)
+    target, removed = reduce_cover(cover, 1)
+    move = Move(grown_column(EMPTY, cover), target, removed, Fraction(1))
+    assert move == Move(1, EMPTY, 1, Fraction(1))
+    return MarkovChain(1, (EMPTY,), [[move]], [{0: Fraction(1)}])
 
 
 def test_equivalence_and_rectangle_witness():
