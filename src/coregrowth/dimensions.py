@@ -3,7 +3,11 @@
 ``strong_dim_tableaux`` counts marked chains of strong covers by a dynamic
 program over (k+1)-cores: with weight (1, ..., 1) every step may mark any
 connected component of its skew shape, so each cover contributes its
-component count.
+component count.  The strong covers of a core kappa are the cores of the
+level below that it contains.  Each level below is indexed once by length
+and then by first part, so kappa scans only the cores no longer than it
+whose first part is at most kappa[0]; ``contains`` stays the exact test
+on each of them.
 
 ``strong_dim_raising`` expands the defining operator product
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -151,16 +156,32 @@ class _DimTable:
 
     def extend(self, level: int) -> None:
         k = self.k
+        dims = self.by_core
         for n in range(self.max_level + 1, level + 1):
-            prev = cores_of_level(k, n - 1)
-            dims = self.by_core
+            # A core inside kappa is no longer than kappa and has first part
+            # at most kappa[0]; ``contains`` stays the exact test.
+            by_length: dict[int, list[Parts]] = {}
+            for tau in sorted(cores_of_level(k, n - 1), key=_first_part):
+                by_length.setdefault(len(tau), []).append(tau)
+            index = [
+                (length, [_first_part(tau) for tau in group], group)
+                for length, group in sorted(by_length.items())
+            ]
             for kappa in cores_of_level(k, n):
+                top = _first_part(kappa)
                 total = 0
-                for tau in prev:
-                    if contains(kappa, tau):
-                        total += skew_components(kappa, tau) * dims[tau]
+                for length, firsts, group in index:
+                    if length > len(kappa):
+                        break
+                    for tau in group[: bisect_right(firsts, top)]:
+                        if contains(kappa, tau):
+                            total += skew_components(kappa, tau) * dims[tau]
                 dims[kappa] = total
         self.max_level = max(self.max_level, level)
+
+
+def _first_part(parts: Parts) -> int:
+    return parts[0] if parts else 0
 
 
 _TABLES: dict[int, _DimTable] = {}
@@ -256,13 +277,20 @@ def _load_cache_file(k: int) -> int:
 
 
 def _save_cache_file(k: int) -> None:
-    """Write k's table through a temporary file, so readers never see half of it."""
+    """Write k's table through a temporary file, so readers never see half of it.
+
+    ``mkstemp`` creates the file 0600; it is given the mode that the process
+    umask gives any new file, so a shared cache directory stays readable.
+    """
     path = _cache_path(k)
     text = dimension_table_json(k, _TABLES[k].max_level)
     try:
         os.makedirs(_cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=_cache_dir, prefix=".dimtable_", suffix=".tmp")
         try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)

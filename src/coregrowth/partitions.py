@@ -214,8 +214,3 @@ def enumerate_reduced_states(k: int) -> tuple[Parts, ...]:
 
     fill(1, [0] * k)
     return tuple(states)
-
-
-def maximal_state(k: int) -> Parts:
-    """The largest reduced state, with l_i = k-i throughout."""
-    return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))

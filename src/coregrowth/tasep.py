@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 from coregrowth.partitions import (
     Parts,
-    bounded_to_core,
     check_reduced,
     multiplicities,
     parts_from_multiplicities,
@@ -35,13 +34,6 @@ def check_word(word) -> Word:
     if sorted(w) != list(range(1, n + 1)) or n < 1 or w[-1] != n:
         raise ValueError(f"not a normalized word on 1..{n}: {w!r}")
     return w
-
-
-def normalize_word(word) -> Word:
-    """Rotate a cyclic arrangement so the largest value sits last."""
-    w = tuple(word)
-    top = w.index(len(w))
-    return w[top + 1 :] + w[: top + 1]
 
 
 def word_to_string(word: Word) -> str:
@@ -96,44 +88,8 @@ def jumps(word: Word) -> list[tuple[int, Word]]:
     return sorted(out)
 
 
-def reverse_word(word: Word) -> Word:
-    """Read the ring backwards, keeping the largest value last."""
-    word = check_word(word)
-    return tuple(reversed(word[:-1])) + (word[-1],)
-
-
 def value_positions(word: Word) -> dict[int, int]:
     return {v: i + 1 for i, v in enumerate(word)}
-
-
-# --- independent construction from the mod-(k+1) growth picture -----------
-
-def word_from_core(parts: Parts, k: int) -> Word:
-    """Label the residue classes of a (k+1)-core's bead set by frontier order.
-
-    Beads sit at parts_i - i; each residue class mod k+1 is occupied below
-    its frontier.  Classes ranked by ascending frontier give the values, and
-    reading the classes in cyclic order gives the word.
-    """
-    r = k + 1
-    ell = len(parts)
-    tail_top = -(ell + 1)  # rows past the diagram contribute beads -(ell+1), ...
-    frontiers = [tail_top - ((tail_top - c) % r) for c in range(r)]
-    for i, p in enumerate(parts, start=1):
-        b = p - i
-        c = b % r
-        if b > frontiers[c]:
-            frontiers[c] = b
-    order = sorted(range(r), key=lambda c: frontiers[c])
-    label = [0] * r
-    for rank, c in enumerate(order, start=1):
-        label[c] = rank
-    return normalize_word(tuple(label))
-
-
-def alpha_via_core(parts: Parts, k: int) -> Word:
-    """Cross-check route for alpha_inv through the core's particle labels."""
-    return word_from_core(bounded_to_core(check_reduced(parts, k), k), k)
 
 
 # --- verifiers -------------------------------------------------------------

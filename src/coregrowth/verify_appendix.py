@@ -105,31 +105,20 @@ def verify_interval_expansion(max_k: int) -> Report:
 
 
 def verify_vanishing(max_t: int, max_entry: int) -> Report:
-    """Triangle evaluations vanish on both stated truncation regimes."""
-    bad = None
-    for t in range(1, max_t + 1):
-        # truncation (0, ..., 0, m) with 1 <= m <= t
-        for m in range(1, t + 1):
-            for c in range(0, max_entry - m + 1):
-                mu = (c,) * t + (c + m,)
-                if not triangle_vanishes(mu, t):
-                    bad = {"case": "staircase-tail", "t": t, "mu": mu}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-        # non-zero truncation below the staircase
-        for hat in _staircase_vectors(t, max_entry):
-            for c in range(0, max_entry - max(hat) + 1):
-                mu = tuple(h + c for h in hat)
-                if not triangle_vanishes(mu, t):
-                    bad = {"case": "below-staircase", "t": t, "mu": mu}
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    """Triangle evaluations vanish on both stated truncation regimes.
+
+    A failing vector's witness names two rows i < j (1-based) with
+    mu_i - i = mu_j - j: equal rows of its Jacobi-Trudi matrix, which is
+    why the determinant should vanish.
+    """
+    bad = next(
+        (
+            {"case": case, "t": t, "mu": mu, "rows": _coinciding_rows(mu)}
+            for case, t, mu in _vanishing_vectors(max_t, max_entry)
+            if not triangle_vanishes(mu, t)
+        ),
+        None,
+    )
     return Report(
         "triangle-vanishing",
         THEOREM,
@@ -137,6 +126,29 @@ def verify_vanishing(max_t: int, max_entry: int) -> Report:
         {"max_t": max_t, "max_entry": max_entry},
         bad,
     )
+
+
+def _vanishing_vectors(max_t: int, max_entry: int):
+    """Yield (case, t, mu) for every vector of both truncation regimes."""
+    for t in range(1, max_t + 1):
+        # truncation (0, ..., 0, m) with 1 <= m <= t
+        for m in range(1, t + 1):
+            for c in range(0, max_entry - m + 1):
+                yield "staircase-tail", t, (c,) * t + (c + m,)
+        # non-zero truncation below the staircase
+        for hat in _staircase_vectors(t, max_entry):
+            for c in range(0, max_entry - max(hat) + 1):
+                yield "below-staircase", t, tuple(h + c for h in hat)
+
+
+def _coinciding_rows(mu) -> tuple[int, int] | None:
+    """The first rows i < j (1-based) with mu_i - i = mu_j - j, if any."""
+    first: dict[int, int] = {}
+    for j, v in enumerate(mu, start=1):
+        i = first.setdefault(v - j, j)
+        if i != j:
+            return i, j
+    return None
 
 
 def _staircase_vectors(t: int, max_entry: int):

@@ -156,6 +156,16 @@ def test_cache_round_trip(tmp_path, capsys):
     assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
 
 
+def test_cache_file_takes_the_umask_mode(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    old = os.umask(0o022)
+    try:
+        assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
+    finally:
+        os.umask(old)
+    assert (cache / "dimtable_k3.json").stat().st_mode & 0o777 == 0o644
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("bogus-command")

@@ -34,7 +34,14 @@ from coregrowth.partitions import (
     k_conjugate,
     rectangle,
 )
-from coregrowth.posets import enumerate_bounded, weak_covers_bounded, weak_dim
+from coregrowth.posets import (
+    contains,
+    cores_of_level,
+    enumerate_bounded,
+    skew_components,
+    weak_covers_bounded,
+    weak_dim,
+)
 from coregrowth.reporting import InvariantError
 
 
@@ -278,6 +285,20 @@ def test_triangle_determinant_matches_inversions(monkeypatch):
         triangle_value((1, 2))
 
 
+@pytest.mark.parametrize(
+    "failing, witness",
+    [
+        ((0, 1), {"case": "staircase-tail", "t": 1, "mu": (0, 1), "rows": (1, 2)}),
+        ((0, 0, 2, 1), {"case": "below-staircase", "t": 3, "mu": (0, 0, 2, 1), "rows": (1, 3)}),
+    ],
+)
+def test_vanishing_witness_names_two_equal_rows(monkeypatch, failing, witness):
+    monkeypatch.setattr(verify_appendix, "triangle_vanishes", lambda vec, t: vec != failing)
+    report = verify_appendix.verify_vanishing(5, 4)
+    assert not report.passed
+    assert report.witness == witness
+
+
 def test_inversion_suite_catches_a_wrong_determinant(monkeypatch):
     def shifted(vec):
         """N! det[1/(v_i + j - i + 1)!]: every column one place off."""
@@ -333,6 +354,44 @@ def test_dimension_table_json_round_trip():
     assert '"2,1,1": "6"' in text
     with pytest.raises(ValueError, match="expected k=4"):
         load_dimension_table(text, 4)
+
+
+def all_pairs_table(k, levels):
+    """The tableaux table with every core of the level below as a candidate.
+
+    Returns the table and the number of strong covers it summed over.
+    """
+    table = {EMPTY: 1}
+    covers = 0
+    for n in range(1, levels + 1):
+        prev = cores_of_level(k, n - 1)
+        for kappa in cores_of_level(k, n):
+            total = 0
+            for tau in prev:
+                if contains(kappa, tau):
+                    covers += 1
+                    total += skew_components(kappa, tau) * table[tau]
+            table[kappa] = total
+    return table, covers
+
+
+@pytest.mark.parametrize("k, covers", [(2, 3), (3, 25), (4, 317), (5, 5205)])
+def test_indexed_scan_matches_all_pairs_oracle(monkeypatch, k, covers):
+    levels = max(sum(s) for s in enumerate_reduced_states(k)) + 1
+    oracle, oracle_covers = all_pairs_table(k, levels)
+    assert oracle_covers == covers
+    hits = 0
+
+    def counting_contains(outer, inner):
+        nonlocal hits
+        found = contains(outer, inner)
+        hits += found
+        return found
+
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    monkeypatch.setattr(dimensions, "contains", counting_contains)
+    assert dimensions.dimension_table(k, levels) == oracle
+    assert hits == covers
 
 
 def test_engine_equivalence_k5_full():

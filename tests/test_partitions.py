@@ -16,7 +16,6 @@ from coregrowth.partitions import (
     is_core,
     is_reduced,
     k_conjugate,
-    maximal_state,
     multiplicities,
     parts_from_multiplicities,
     rectangle,
@@ -24,6 +23,12 @@ from coregrowth.partitions import (
     reduce_rectangles,
 )
 from coregrowth.posets import enumerate_bounded
+
+
+def maximal_state(k):
+    """The largest reduced state, with l_i = k-i throughout."""
+    return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))
+
 
 # Anchor pair: a 4-bounded partition and its 5-core, hooks known by hand.
 BIG_BOUNDED = (4, 3, 3, 3, 2, 2, 1)

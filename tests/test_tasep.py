@@ -7,9 +7,11 @@ from coregrowth import chain as chain_mod
 from coregrowth.chain import MarkovChain, Move, build_chain
 from coregrowth.partitions import (
     EMPTY,
+    bounded_to_core,
+    check_reduced,
     complement,
     enumerate_reduced_states,
-    maximal_state,
+    parts_from_multiplicities,
     reduce_cover,
 )
 from coregrowth.posets import grown_column, weak_covers_bounded
@@ -17,15 +19,60 @@ from coregrowth.reporting import InvariantError
 from coregrowth.tasep import (
     alpha,
     alpha_inv,
-    alpha_via_core,
+    check_word,
     jumps,
-    normalize_word,
-    reverse_word,
     verify_rectangle_jump,
     verify_tasep_equivalence,
     word_from_string,
     word_to_string,
 )
+
+
+def maximal_state(k):
+    """The largest reduced state, with l_i = k-i throughout."""
+    return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))
+
+
+def reverse_word(word):
+    """Read the ring backwards, keeping the largest value last."""
+    word = check_word(word)
+    return tuple(reversed(word[:-1])) + (word[-1],)
+
+
+def normalize_word(word):
+    """Rotate a cyclic arrangement so the largest value sits last."""
+    w = tuple(word)
+    top = w.index(len(w))
+    return w[top + 1 :] + w[: top + 1]
+
+
+def word_from_core(parts, k):
+    """Label the residue classes of a (k+1)-core's bead set by frontier order.
+
+    Beads sit at parts_i - i; each residue class mod k+1 is occupied below
+    its frontier.  Classes ranked by ascending frontier give the values, and
+    reading the classes in cyclic order gives the word.
+    """
+    r = k + 1
+    ell = len(parts)
+    tail_top = -(ell + 1)  # rows past the diagram contribute beads -(ell+1), ...
+    frontiers = [tail_top - ((tail_top - c) % r) for c in range(r)]
+    for i, p in enumerate(parts, start=1):
+        b = p - i
+        c = b % r
+        if b > frontiers[c]:
+            frontiers[c] = b
+    order = sorted(range(r), key=lambda c: frontiers[c])
+    label = [0] * r
+    for rank, c in enumerate(order, start=1):
+        label[c] = rank
+    return normalize_word(tuple(label))
+
+
+def alpha_via_core(parts, k):
+    """Cross-check route for alpha_inv through the core's particle labels."""
+    return word_from_core(bounded_to_core(check_reduced(parts, k), k), k)
+
 
 # Word <-> state pairs of the 24-state table (word digits, state parts).
 K4_WORDS = {
