@@ -17,11 +17,10 @@ from coregrowth.partitions import (
     enumerate_reduced_states,
     factorial_index,
     hook_lengths,
-    is_core,
     k_conjugate,
     reduce_rectangles,
 )
-from coregrowth.posets import enumerate_bounded, strong_covers, weak_covers_bounded, weak_covers_core, weak_dim
+from coregrowth.posets import enumerate_bounded, weak_covers_bounded, weak_dim
 from coregrowth.dimensions import hook_dim, strong_dim_raising, strong_dim_tableaux
 from coregrowth.chain import build_chain, k_plancherel, rho_vector, stationary
 
@@ -38,16 +37,13 @@ __all__ = [
     "factorial_index",
     "hook_dim",
     "hook_lengths",
-    "is_core",
     "k_conjugate",
     "k_plancherel",
     "reduce_rectangles",
     "rho_vector",
     "stationary",
-    "strong_covers",
     "strong_dim_raising",
     "strong_dim_tableaux",
     "weak_covers_bounded",
-    "weak_covers_core",
     "weak_dim",
 ]

@@ -204,18 +204,14 @@ def cmd_simulate(args) -> int:
     guard_error("simulate", config.k, args.force)
     t0 = time.perf_counter()
     result = simulate.run_simulation(config)
-    pi = chain_mod.stationary(chain_mod.build_chain(config.k))
-    written = simulate.write_outputs(result, pi)
+    mc = chain_mod.build_chain(config.k)
+    pi = chain_mod.stationary(mc)
+    rho = chain_mod.rho_vector(mc, pi)
+    deviation = simulate.compare_to_limit(result.boundary, rho)
+    written = simulate.write_outputs(result, pi, rho, deviation)
     print(
-        "k=%d n=%d seed=%d  gamma=%.6g sup_dev=%.4g mean_sq=%.4g"
-        % (
-            config.k,
-            config.n,
-            config.seed,
-            result.gamma,
-            result.sup_deviation,
-            result.mean_sq_deviation,
-        )
+        "k=%d n=%d seed=%d  rho=%s sup_dev=%.4g mean_sq=%.4g"
+        % (config.k, config.n, config.seed, ",".join(map(str, rho)), *deviation)
     )
     print("rho_hat:", " ".join("%.6g" % x for x in result.rho_hat))
     for path in written:

@@ -61,18 +61,6 @@ def hook_lengths(parts: Parts) -> list[list[int]]:
     ]
 
 
-def is_core(parts: Parts, r: int) -> bool:
-    """True iff no cell has hook length exactly r."""
-    if r < 2:
-        raise ValueError("core parameter must be at least 2")
-    conj = conjugate(parts)
-    for i, p in enumerate(parts):
-        for j in range(p):
-            if (p - j) + (conj[j] - i) - 1 == r:
-                return False
-    return True
-
-
 def core_to_bounded(parts: Parts, k: int) -> Parts:
     """Row-wise count of cells with hook length below k+1.
 
@@ -135,13 +123,6 @@ def parts_from_multiplicities(l) -> Parts:
     for size in range(len(l), 0, -1):
         out.extend([size] * l[size - 1])
     return tuple(out)
-
-
-def rectangle(i: int, k: int) -> Parts:
-    """The k-rectangle with parts i repeated k-i+1 times."""
-    if not 1 <= i <= k:
-        raise ValueError(f"rectangle type {i} out of range for k={k}")
-    return (i,) * (k - i + 1)
 
 
 def rectangle_area(i: int, k: int) -> int:

@@ -1,16 +1,14 @@
 """Weak and strong cover relations on cores and bounded partitions.
 
-The weak order adds, per step, every addable corner of one fixed content
-residue mod k+1 to a (k+1)-core; on k-bounded partitions it is box addition
-that is monotone for k-conjugation.  The strong order is plain containment of
-(k+1)-cores with the bounded size rising by one; each strong cover carries
-the number of connected components of its skew shape, which is the number of
-admissible markings of that step.
+On k-bounded partitions the weak order is box addition that is monotone for
+k-conjugation.  The strong order is plain containment of (k+1)-cores with the
+bounded size rising by one (``dimensions`` walks it); each strong cover
+carries the number of connected components of its skew shape, which is the
+number of admissible markings of that step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from coregrowth.partitions import (
@@ -18,8 +16,6 @@ from coregrowth.partitions import (
     Parts,
     bounded_to_core,
     check_k_bounded,
-    core_to_bounded,
-    is_core,
     k_conjugate,
 )
 
@@ -76,32 +72,6 @@ def removable_corners(parts: Parts) -> list[tuple[int, int]]:
     ]
 
 
-def weak_covers_core(parts: Parts, k: int) -> list[tuple[int, Parts]]:
-    """Weak covers of a (k+1)-core, as (residue, core) pairs.
-
-    For each content residue r mod k+1 with at least one addable corner and
-    no removable corner of the same residue, add every addable corner of
-    residue r simultaneously.
-    """
-    r = k + 1
-    blocked = {(col - row) % r for row, col in removable_corners(parts)}
-    by_residue: dict[int, list[tuple[int, int]]] = {}
-    for row, col in addable_corners(parts):
-        by_residue.setdefault((col - row) % r, []).append((row, col))
-    covers = []
-    for res in sorted(by_residue):
-        if res in blocked:
-            continue
-        grown = list(parts)
-        for row, _col in by_residue[res]:
-            if row > len(grown):
-                grown.append(1)
-            else:
-                grown[row - 1] += 1
-        covers.append((res, tuple(grown)))
-    return covers
-
-
 def grown_column(before: Parts, after: Parts) -> int:
     """Column of the single box added between two bounded partitions."""
     if len(after) > len(before):
@@ -155,19 +125,6 @@ def weak_dim(parts: Parts, k: int) -> int:
 
 # --- strong order -------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrongCover:
-    """A strong cover ``from_core`` => ``to_core`` of (k+1)-cores.
-
-    ``components`` counts the connected components of the skew shape, i.e.
-    the number of choices of a marked component for this step.
-    """
-
-    from_core: Parts
-    to_core: Parts
-    components: int
-
-
 def skew_components(outer: Parts, inner: Parts) -> int:
     """Connected components (4-adjacency) of the skew shape outer/inner.
 
@@ -186,20 +143,3 @@ def skew_components(outer: Parts, inner: Parts) -> int:
             comps += 1
         prev = (lo, hi)
     return comps
-
-
-@cache
-def strong_covers(parts: Parts, k: int) -> tuple[StrongCover, ...]:
-    """All strong covers above a (k+1)-core.
-
-    Baseline generator: enumerate every core of the next bounded size and
-    keep those containing ``parts``.  Exact but linear in the level size.
-    """
-    if parts and not is_core(parts, k + 1):
-        raise ValueError(f"{parts!r} is not a {k + 1}-core")
-    m = sum(core_to_bounded(parts, k))
-    out = []
-    for kappa in cores_of_level(k, m + 1):
-        if contains(kappa, parts):
-            out.append(StrongCover(parts, kappa, skew_components(kappa, parts)))
-    return tuple(out)

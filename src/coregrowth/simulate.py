@@ -25,12 +25,8 @@ from coregrowth import chain as chain_mod
 from coregrowth import dimensions
 from coregrowth.partitions import (
     Parts,
-    bounded_to_core,
-    check_reduced,
     enumerate_reduced_states,
     factorial_index,
-    multiplicities,
-    parts_from_multiplicities,
     rectangle_area,
     reduce_rectangles,
 )
@@ -114,9 +110,6 @@ class SimResult:
     boundary: list[tuple[float, float]]
     rho_hat: np.ndarray
     checkpoints: list[tuple[int, int, tuple[int, ...]]]
-    gamma: float
-    sup_deviation: float
-    mean_sq_deviation: float
 
 
 class SamplingTable(NamedTuple):
@@ -253,7 +246,6 @@ def run_simulation(config: SimConfig) -> SimResult:
     for label, cls in enumerate(table.arrangements[a]):
         frontiers[cls] = by_label[label]
     boundary = boundary_from_frontiers(frontiers, k, config.n, config.boundary_samples)
-    gamma, sup_dev, mean_sq = compare_to_limit(boundary, k)
     return SimResult(
         config=config,
         steps=config.n,
@@ -264,9 +256,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         boundary=boundary,
         rho_hat=np.array(ledger, dtype=float) / config.n,
         checkpoints=checkpoints,
-        gamma=gamma,
-        sup_deviation=sup_dev,
-        mean_sq_deviation=mean_sq,
     )
 
 
@@ -285,39 +274,7 @@ def spawn_seeds(seed: int, trajectories: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trajectories)]
 
 
-# --- core reconstruction and boundaries ------------------------------------
-
-def reconstruct_core(reduced: Parts, ledger, k: int, max_parts: int = 1_000_000) -> Parts:
-    """Core of the un-reduced partition (reduced plus ledgered rectangles)."""
-    reduced = check_reduced(reduced, k)
-    l = list(multiplicities(reduced, k))
-    for i, c in enumerate(ledger, start=1):
-        l[i - 1] += c * (k - i + 1)
-    if sum(l) > max_parts:
-        raise MemoryError(
-            f"reconstruction needs {sum(l)} rows; raise max_parts to allow it"
-        )
-    return bounded_to_core(parts_from_multiplicities(l), k)
-
-
-def core_parts_from_frontiers(frontiers, k: int, max_parts: int = 500_000) -> Parts:
-    """Explicit core rows encoded by a frontier vector (for cross-checks)."""
-    r = k + 1
-    top = max(frontiers)
-    bottom = min(frontiers)
-    parts = []
-    vac_below = sum(
-        1 for p in range(bottom + 1, top + 1) if frontiers[p % r] < p
-    )
-    for p in range(top, bottom, -1):
-        if frontiers[p % r] >= p and vac_below > 0:
-            parts.append(vac_below)
-        if p - 1 > bottom and frontiers[(p - 1) % r] < p - 1:
-            vac_below -= 1
-        if len(parts) > max_parts:
-            raise MemoryError("frontier spread too large for explicit rows")
-    return tuple(parts)
-
+# --- core boundaries ----------------------------------------------------------
 
 def boundary_from_frontiers(frontiers, k: int, n: int, samples: int) -> list[tuple[float, float]]:
     """Exact sampled points on the core's staircase, scaled by 1/n.
@@ -349,9 +306,21 @@ def boundary_from_frontiers(frontiers, k: int, n: int, samples: int) -> list[tup
 
 # --- limit-curve comparison -------------------------------------------------
 
-def limit_curve_vertices(k: int) -> list[tuple[float, float]]:
-    """Vertices of the conjectured piecewise-linear limit curve for k-cores."""
-    return [(comb(i, 2), comb(k - i + 1, 2)) for i in range(1, k + 1)]
+def limit_curve_vertices(rho) -> list[tuple[Fraction, Fraction]]:
+    """Vertices of the piecewise-linear curve fixed by the rectangle rates rho.
+
+    Vertex j, for j = 1..k+1, is (sum over i < j of i rho_i, sum over i >= j
+    of (k+1-i) rho_i), so segment i is rho_i times the diagonal of the type-i
+    k-rectangle (k+1-i rows of length i).  Exact rates give exact vertices.
+    """
+    k = len(rho)
+    return [
+        (
+            sum((i * rho[i - 1] for i in range(1, j)), Fraction(0)),
+            sum(((k + 1 - i) * rho[i - 1] for i in range(j, k + 1)), Fraction(0)),
+        )
+        for j in range(1, k + 2)
+    ]
 
 
 def _distances_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -371,11 +340,10 @@ def _distances_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarr
     return best
 
 
-def compare_to_limit(boundary_pts, k: int) -> tuple[float, float, float]:
-    """Fit the scale of the order-(k+1) limit curve; report deviations.
+def compare_to_limit(boundary_pts, rho) -> tuple[float, float]:
+    """Distances of the boundary points to the limit curve of the rates rho.
 
-    Returns (gamma, sup distance, mean squared distance) of the boundary
-    points to the fitted curve.  Both deviation metrics are reported because
+    Returns (sup distance, mean squared distance).  Both are reported because
     no convergence metric is canonical here.
     """
     import numpy as np
@@ -383,35 +351,8 @@ def compare_to_limit(boundary_pts, k: int) -> tuple[float, float, float]:
     pts = np.asarray(boundary_pts, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty boundary")
-    base = np.asarray(limit_curve_vertices(k + 1), dtype=float)
-
-    def objective(gamma: float) -> float:
-        return float(np.mean(_distances_to_polyline(pts, gamma * base) ** 2))
-
-    extent = max(pts[:, 0].max(), pts[:, 1].max(), 1e-12)
-    guess = extent / comb(k + 1, 2)
-    lo, hi = guess / 4.0, guess * 4.0
-    grid = np.linspace(lo, hi, 80)
-    gamma = float(grid[int(np.argmin([objective(g) for g in grid]))])
-    step = (hi - lo) / 79.0
-    # Golden-section refinement: the surviving inner point is the next
-    # bracket's other inner point, so each step evaluates one new point.
-    golden = 0.6180339887498949
-    a, b = gamma - step, gamma + step
-    m1, m2 = b - (b - a) * golden, a + (b - a) * golden
-    f1, f2 = objective(m1), objective(m2)
-    for _ in range(70):
-        if f1 <= f2:
-            b, m2, f2 = m2, m1, f1
-            m1 = b - (b - a) * golden
-            f1 = objective(m1)
-        else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + (b - a) * golden
-            f2 = objective(m2)
-    gamma = (a + b) / 2.0
-    dist = _distances_to_polyline(pts, gamma * base)
-    return gamma, float(dist.max()), float(np.mean(dist**2))
+    dist = _distances_to_polyline(pts, np.asarray(limit_curve_vertices(rho), dtype=float))
+    return float(dist.max()), float(np.mean(dist**2))
 
 
 # --- projection consistency --------------------------------------------------
@@ -473,11 +414,10 @@ def occupancy_csv(result: SimResult, pi: chain_mod.StationaryDistribution) -> st
     return "\n".join(lines) + "\n"
 
 
-def overlay_svg(result: SimResult) -> str:
-    """Boundary polyline with the fitted limit curve, as a standalone SVG."""
-    k = result.config.k
+def overlay_svg(result: SimResult, rho, deviation: tuple[float, float]) -> str:
+    """Boundary polyline with the limit curve of the rates rho, as a standalone SVG."""
     pts = result.boundary
-    curve = [(result.gamma * x, result.gamma * y) for x, y in limit_curve_vertices(k + 1)]
+    curve = [(float(x), float(y)) for x, y in limit_curve_vertices(rho)]
     extent = max(max(x for x, _ in pts + curve), max(y for _, y in pts + curve)) * 1.05
     size = 640
 
@@ -493,7 +433,7 @@ def overlay_svg(result: SimResult) -> str:
         '<polyline points="%s" fill="none" stroke="#888" stroke-width="1"/>\n'
         '<polyline points="%s" fill="none" stroke="#c22" stroke-width="2" '
         'stroke-dasharray="6 3"/>\n'
-        "<text x='8' y='16' font-size='12'>k=%d n=%d gamma=%.6g sup_dev=%.3g</text>\n"
+        "<text x='8' y='16' font-size='12'>k=%d n=%d rho=%s sup_dev=%.3g</text>\n"
         "</svg>\n"
         % (
             size,
@@ -504,15 +444,21 @@ def overlay_svg(result: SimResult) -> str:
             size,
             svg_pts(pts),
             svg_pts(curve),
-            k,
+            result.config.k,
             result.steps,
-            result.gamma,
-            result.sup_deviation,
+            ",".join(map(str, rho)),
+            deviation[0],
         )
     )
 
 
-def write_outputs(result: SimResult, pi: chain_mod.StationaryDistribution) -> list[str]:
+def write_outputs(
+    result: SimResult,
+    pi: chain_mod.StationaryDistribution,
+    rho,
+    deviation: tuple[float, float],
+) -> list[str]:
+    """Write the configured outputs; ``deviation`` is ``compare_to_limit``'s for ``rho``."""
     written = []
     outs = result.config.outputs
     if "boundary_csv" in outs:
@@ -525,9 +471,10 @@ def write_outputs(result: SimResult, pi: chain_mod.StationaryDistribution) -> li
         _write(outs["occupancy_csv"], occupancy_csv(result, pi))
         written.append(outs["occupancy_csv"])
     if "svg" in outs:
-        _write(outs["svg"], overlay_svg(result))
+        _write(outs["svg"], overlay_svg(result, rho, deviation))
         written.append(outs["svg"])
     if "report_json" in outs:
+        sup_deviation, mean_sq_deviation = deviation
         payload = {
             "k": result.config.k,
             "n": result.steps,
@@ -535,9 +482,9 @@ def write_outputs(result: SimResult, pi: chain_mod.StationaryDistribution) -> li
             "final_state": list(result.final_state),
             "ledger": list(result.ledger),
             "rho_hat": [float(x) for x in result.rho_hat],
-            "gamma": result.gamma,
-            "sup_deviation": result.sup_deviation,
-            "mean_sq_deviation": result.mean_sq_deviation,
+            "rho": [str(r) for r in rho],
+            "sup_deviation": sup_deviation,
+            "mean_sq_deviation": mean_sq_deviation,
         }
         if result.config.checkpoint_every:
             payload["checkpoints"] = [

@@ -32,7 +32,6 @@ from coregrowth.partitions import (
     EMPTY,
     enumerate_reduced_states,
     k_conjugate,
-    rectangle,
 )
 from coregrowth.posets import (
     contains,
@@ -43,6 +42,8 @@ from coregrowth.posets import (
     weak_dim,
 )
 from coregrowth.reporting import InvariantError
+
+from oracles import rectangle
 
 
 def test_h_coefficient():

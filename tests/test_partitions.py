@@ -13,21 +13,16 @@ from coregrowth.partitions import (
     enumerate_reduced_states,
     factorial_index,
     hook_lengths,
-    is_core,
     is_reduced,
     k_conjugate,
     multiplicities,
     parts_from_multiplicities,
-    rectangle,
     reduce_cover,
     reduce_rectangles,
 )
 from coregrowth.posets import enumerate_bounded
 
-
-def maximal_state(k):
-    """The largest reduced state, with l_i = k-i throughout."""
-    return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))
+from oracles import is_core, maximal_state, rectangle
 
 
 # Anchor pair: a 4-bounded partition and its 5-core, hooks known by hand.

@@ -1,4 +1,6 @@
 import random
+from dataclasses import dataclass
+from functools import cache
 
 import pytest
 
@@ -9,18 +11,76 @@ from coregrowth.partitions import (
     core_to_bounded,
 )
 from coregrowth.posets import (
+    addable_corners,
     cores_of_level,
     contains,
     enumerate_bounded,
     grown_column,
+    removable_corners,
     skew_components,
-    strong_covers,
     weak_covers_bounded,
-    weak_covers_core,
     weak_dim,
     weak_predecessors_bounded,
 )
 from coregrowth.dimensions import hook_dim
+
+from oracles import is_core
+
+
+def weak_covers_core(parts, k):
+    """Weak covers of a (k+1)-core, as (residue, core) pairs.
+
+    For each content residue r mod k+1 with at least one addable corner and
+    no removable corner of the same residue, add every addable corner of
+    residue r simultaneously.
+    """
+    r = k + 1
+    blocked = {(col - row) % r for row, col in removable_corners(parts)}
+    by_residue = {}
+    for row, col in addable_corners(parts):
+        by_residue.setdefault((col - row) % r, []).append((row, col))
+    covers = []
+    for res in sorted(by_residue):
+        if res in blocked:
+            continue
+        grown = list(parts)
+        for row, _col in by_residue[res]:
+            if row > len(grown):
+                grown.append(1)
+            else:
+                grown[row - 1] += 1
+        covers.append((res, tuple(grown)))
+    return covers
+
+
+@dataclass(frozen=True)
+class StrongCover:
+    """A strong cover ``from_core`` => ``to_core`` of (k+1)-cores.
+
+    ``components`` counts the connected components of the skew shape, i.e.
+    the number of choices of a marked component for this step.
+    """
+
+    from_core: tuple
+    to_core: tuple
+    components: int
+
+
+@cache
+def strong_covers(parts, k):
+    """All strong covers above a (k+1)-core, by scanning the next level.
+
+    Enumerates every core of the next bounded size and keeps those
+    containing ``parts``: the rule ``dimensions`` indexes, scanned in full.
+    """
+    if parts and not is_core(parts, k + 1):
+        raise ValueError(f"{parts!r} is not a {k + 1}-core")
+    m = sum(core_to_bounded(parts, k))
+    out = []
+    for kappa in cores_of_level(k, m + 1):
+        if contains(kappa, parts):
+            out.append(StrongCover(parts, kappa, skew_components(kappa, parts)))
+    return tuple(out)
 
 
 def bfs_components(outer, inner):

@@ -4,14 +4,23 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coregrowth import simulate
-from coregrowth.chain import MarkovChain, build_chain, stationary
-from coregrowth.partitions import EMPTY, bounded_to_core, factorial_index
+from coregrowth.chain import MarkovChain, build_chain, rho_vector, stationary
+from coregrowth.partitions import (
+    EMPTY,
+    bounded_to_core,
+    check_reduced,
+    factorial_index,
+    multiplicities,
+    parts_from_multiplicities,
+    rectangle_area,
+)
 from coregrowth.reporting import InvariantError
 from coregrowth.simulate import (
     BLOCK,
@@ -19,18 +28,48 @@ from coregrowth.simulate import (
     SimConfig,
     boundary_csv,
     compare_to_limit,
-    core_parts_from_frontiers,
     initial_frontiers,
     limit_curve_vertices,
     occupancy_csv,
     overlay_svg,
-    reconstruct_core,
     rho_csv,
     run_simulation,
     spawn_seeds,
     verify_projection,
     write_outputs,
 )
+
+
+def reconstruct_core(reduced, ledger, k, max_parts=1_000_000):
+    """Core of the un-reduced partition (reduced plus ledgered rectangles)."""
+    reduced = check_reduced(reduced, k)
+    l = list(multiplicities(reduced, k))
+    for i, c in enumerate(ledger, start=1):
+        l[i - 1] += c * (k - i + 1)
+    if sum(l) > max_parts:
+        raise MemoryError(
+            f"reconstruction needs {sum(l)} rows; raise max_parts to allow it"
+        )
+    return bounded_to_core(parts_from_multiplicities(l), k)
+
+
+def core_parts_from_frontiers(frontiers, k, max_parts=500_000):
+    """Explicit core rows encoded by a frontier vector (for cross-checks)."""
+    r = k + 1
+    top = max(frontiers)
+    bottom = min(frontiers)
+    parts = []
+    vac_below = sum(
+        1 for p in range(bottom + 1, top + 1) if frontiers[p % r] < p
+    )
+    for p in range(top, bottom, -1):
+        if frontiers[p % r] >= p and vac_below > 0:
+            parts.append(vac_below)
+        if p - 1 > bottom and frontiers[(p - 1) % r] < p - 1:
+            vac_below -= 1
+        if len(parts) > max_parts:
+            raise MemoryError("frontier spread too large for explicit rows")
+    return tuple(parts)
 
 
 def reference_run(config):
@@ -255,68 +294,98 @@ def test_occupancy_tracks_pi_roughly():
         assert abs(freq[i] - p) < 6 * se
 
 
+def exact_rho(k):
+    mc = build_chain(k)
+    return rho_vector(mc, stationary(mc))
+
+
+def staircase(core):
+    """Every lattice point on the boundary of a diagram: (column x, height y)."""
+    points = []
+    for x in range((core[0] if core else 0) + 1):
+        low = sum(1 for p in core if p > x)
+        high = sum(1 for p in core if p >= x)
+        points.extend((x, y) for y in range(low, high + 1))
+    return points
+
+
 def test_limit_curve_vertices():
-    assert limit_curve_vertices(4) == [(0, 6), (1, 3), (3, 1), (6, 0)]
+    rho = [Fraction(1, 10)] * 3
+    assert limit_curve_vertices(rho) == [
+        (Fraction(x, 10), Fraction(y, 10)) for x, y in [(0, 6), (1, 3), (3, 1), (6, 0)]
+    ]
+    assert limit_curve_vertices([1, 2]) == [(0, 4), (1, 2), (5, 0)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_equal_rates_give_the_binomial_vertices(k):
+    rho = [Fraction(1, math.comb(k + 2, 3))] * k
+    assert limit_curve_vertices(rho) == [
+        (rho[0] * math.comb(j, 2), rho[0] * math.comb(k + 2 - j, 2)) for j in range(1, k + 2)
+    ]
+
+
+def test_limit_curve_conjugation_symmetry():
+    for rho in (
+        [Fraction(3, 7), Fraction(1, 5)],
+        [Fraction(1, 2), Fraction(2, 9), Fraction(5, 3)],
+        [Fraction(i, 11 + i) for i in range(1, 6)],
+    ):
+        mirrored = [(y, x) for x, y in reversed(limit_curve_vertices(rho))]
+        assert limit_curve_vertices(rho[::-1]) == mirrored
+
+
+@pytest.mark.parametrize("ledger", [(50, 200, 120), (30, 90, 60, 150), (40, 10, 80, 20, 60)])
+@pytest.mark.parametrize("scale", [1, 4])
+def test_ledgered_core_lies_on_the_curve_of_its_rates(ledger, scale):
+    """Every staircase point of the core built from a ledger lies within 3/n
+    of the curve for rho = ledger / n; with the axes swapped it does not."""
+    k = len(ledger)
+    ledger = [c * scale for c in ledger]
+    n = sum(c * rectangle_area(i, k) for i, c in enumerate(ledger, start=1))
+    rho = [Fraction(c, n) for c in ledger]
+    points = [(x / n, y / n) for x, y in staircase(reconstruct_core(EMPTY, ledger, k))]
+    sup, mean_sq = compare_to_limit(points, rho)
+    assert sup <= 3 / n
+    assert mean_sq <= sup**2
+    assert compare_to_limit([(y, x) for x, y in points], rho)[0] > 0.05
 
 
 def test_compare_to_limit_symmetry():
     pts = [(0.0, 0.5), (0.1, 0.25), (0.3, 0.1), (0.5, 0.0)]
     swapped = [(y, x) for x, y in pts]
-    g1, sup1, ms1 = compare_to_limit(pts, 3)
-    g2, sup2, ms2 = compare_to_limit(swapped, 3)
-    assert g1 == pytest.approx(g2, rel=1e-6)
-    assert sup1 == pytest.approx(sup2, rel=1e-6)
-    assert ms1 == pytest.approx(ms2, rel=1e-6)
+    for rho in ([Fraction(1, 10)] * 3, [Fraction(1, 10), Fraction(1, 4), Fraction(1, 6)]):
+        sup1, ms1 = compare_to_limit(pts, rho)
+        sup2, ms2 = compare_to_limit(swapped, rho[::-1])
+        assert sup1 == pytest.approx(sup2, rel=1e-12)
+        assert ms1 == pytest.approx(ms2, rel=1e-12)
 
 
-def reference_fit(boundary_pts, k):
-    """``compare_to_limit`` with two objective calls per golden-section step."""
-    pts = np.asarray(boundary_pts, dtype=float)
-    base = np.asarray(limit_curve_vertices(k + 1), dtype=float)
+def test_simulate_makes_one_polyline_pass(tmp_path, monkeypatch, capsys):
+    from coregrowth import cli
 
-    def objective(gamma: float) -> float:
-        return float(np.mean(simulate._distances_to_polyline(pts, gamma * base) ** 2))
-
-    extent = max(pts[:, 0].max(), pts[:, 1].max(), 1e-12)
-    guess = extent / math.comb(k + 1, 2)
-    lo, hi = guess / 4.0, guess * 4.0
-    grid = np.linspace(lo, hi, 80)
-    gamma = float(grid[int(np.argmin([objective(g) for g in grid]))])
-    step = (hi - lo) / 79.0
-    a, b = gamma - step, gamma + step
-    for _ in range(70):  # golden-section refinement
-        m1 = b - (b - a) * 0.6180339887498949
-        m2 = a + (b - a) * 0.6180339887498949
-        if objective(m1) <= objective(m2):
-            b = m2
-        else:
-            a = m1
-    gamma = (a + b) / 2.0
-    dist = simulate._distances_to_polyline(pts, gamma * base)
-    return gamma, float(dist.max()), float(np.mean(dist**2))
-
-
-@pytest.mark.parametrize("k, n, seed", [(3, 30_000, 1), (3, 30_000, 2), (5, 20_000, 3)])
-def test_fit_evaluates_one_point_per_golden_step(monkeypatch, k, n, seed):
-    boundary = run_simulation(SimConfig(k=k, n=n, seed=seed)).boundary
-    reference = reference_fit(boundary, k)
     calls = []
     distances = simulate._distances_to_polyline
     monkeypatch.setattr(
         simulate, "_distances_to_polyline", lambda *a: calls.append(1) or distances(*a)
     )
-    gamma, sup, mean_sq = compare_to_limit(boundary, k)
-    assert len(calls) == 80 + 2 + 70 + 1
-    assert gamma == pytest.approx(reference[0], rel=1e-9)
-    assert sup == pytest.approx(reference[1], rel=1e-6)
-    assert mean_sq == pytest.approx(reference[2], rel=1e-9)
+    outputs = {key: str(tmp_path / key) for key in simulate.OUTPUT_KEYS}
+    cpath = tmp_path / "run.json"
+    cpath.write_text(json.dumps({"k": 3, "n": 5000, "seed": 2, "outputs": outputs}))
+    assert cli.main(["simulate", "--config", str(cpath)]) == 0
+    assert len(calls) == 1
+    assert "rho=1/10,1/10,1/10 " in capsys.readouterr().out
+    report = json.loads((tmp_path / "report_json").read_text())
+    assert report["rho"] == ["1/10"] * 3 and "gamma" not in report
+    assert "rho=1/10,1/10,1/10" in (tmp_path / "svg").read_text()
 
 
 def test_deviation_shrinks_with_n():
+    rho = exact_rho(3)
     devs = []
     for n in (2_000, 20_000, 200_000):
         result = run_simulation(SimConfig(k=3, n=n, seed=12))
-        devs.append(result.sup_deviation)
+        devs.append(compare_to_limit(result.boundary, rho)[0])
     assert devs[2] < devs[0]
 
 
@@ -352,8 +421,10 @@ def test_output_files(tmp_path):
         },
     )
     result = run_simulation(cfg)
-    pi = stationary(build_chain(3))
-    written = write_outputs(result, pi)
+    mc = build_chain(3)
+    pi = stationary(mc)
+    rho = rho_vector(mc, pi)
+    written = write_outputs(result, pi, rho, compare_to_limit(result.boundary, rho))
     assert len(written) == 5
     assert (tmp_path / "b.csv").read_text().startswith("x,y")
     assert "conjectured" in (tmp_path / "r.csv").read_text()
@@ -361,18 +432,20 @@ def test_output_files(tmp_path):
     assert (tmp_path / "s.svg").read_text().startswith("<svg")
     assert rho_csv(result).count("\n") == 4
     assert occupancy_csv(result, pi).count("\n") == 7
-    assert overlay_svg(result).endswith("</svg>\n")
+    assert overlay_svg(result, rho, (0.0, 0.0)).endswith("</svg>\n")
 
 
 def test_checkpoints_reach_the_report(tmp_path):
     """checkpoint_every > 0 adds the checkpoints to report_json; 0 leaves it as it was."""
-    pi = stationary(build_chain(3))
+    mc = build_chain(3)
+    pi = stationary(mc)
+    rho = rho_vector(mc, pi)
     payloads = []
     for every in (0, 250):
         path = tmp_path / f"rep{every}.json"
         cfg = SimConfig(k=3, n=1000, seed=3, checkpoint_every=every, outputs={"report_json": str(path)})
         result = run_simulation(cfg)
-        write_outputs(result, pi)
+        write_outputs(result, pi, rho, compare_to_limit(result.boundary, rho))
         payloads.append(json.loads(path.read_text()))
     plain, checked = payloads
     assert "checkpoints" not in plain

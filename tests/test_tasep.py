@@ -11,7 +11,6 @@ from coregrowth.partitions import (
     check_reduced,
     complement,
     enumerate_reduced_states,
-    parts_from_multiplicities,
     reduce_cover,
 )
 from coregrowth.posets import grown_column, weak_covers_bounded
@@ -27,10 +26,7 @@ from coregrowth.tasep import (
     word_to_string,
 )
 
-
-def maximal_state(k):
-    """The largest reduced state, with l_i = k-i throughout."""
-    return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))
+from oracles import maximal_state
 
 
 def reverse_word(word):
