@@ -1,14 +1,14 @@
 """The finite k!-state Markov chain, solved exactly.
 
-States are the reduced k-bounded partitions.  A move grows one column of the
-state (a box addition that the weak order permits); if that completes a
-k-rectangle the rectangle is deleted, so moves that remove and moves that
-do not share one code path through ``reduce_cover``.  Rates are exact
-rationals d(cover) / ((n+1) d(state)).  ``build_chain`` certifies that each
-row sums to one and that each move conserves boxes (the target holds one box
-more than its state, less the deleted rectangle); it raises
-``InvariantError`` otherwise.  The built chain is the one home of the moves:
-the TASEP verifiers and the simulator read them from it.
+States are the reduced k-bounded partitions.  ``growth_steps`` is the one
+growth-step rule, from any k-bounded partition: grow one column (a weak
+cover), delete full k-rectangles, name the type whose ledger count rose, and
+take the rate d(cover) / ((n+1) d(state)) from ``step_rate``.
+``build_chain`` reads the steps out of each reduced state and certifies that
+each row sums to one and that each move conserves boxes (the target holds
+one box more than its state, less the deleted rectangle); it raises
+``InvariantError`` otherwise.  The TASEP verifiers and the simulator read
+the moves from the built chain.
 
 ``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
 the normalized system proposes x; the candidate is round(x_i M_k) / M_k,
@@ -34,14 +34,13 @@ from math import comb, factorial, gcd, isqrt
 from coregrowth import dimensions
 from coregrowth.partitions import (
     Parts,
-    bounded_to_core,
     complement,
     enumerate_reduced_states,
     factorial_index,
     k_conjugate,
     multiplicities,
     rectangle_area,
-    reduce_cover,
+    reduce_rectangles,
 )
 from coregrowth.posets import (
     enumerate_bounded,
@@ -91,33 +90,50 @@ class StationaryDistribution:
         return self.values[self.chain.state_index(parts)]
 
 
+def step_rate(src: Parts, cover: Parts, k: int) -> Fraction:
+    """Rate d(cover) / ((|src| + 1) d(src)) of the step from ``src`` to its weak cover."""
+    return Fraction(
+        dimensions.strong_dim_tableaux(cover, k),
+        (sum(src) + 1) * dimensions.strong_dim_tableaux(src, k),
+    )
+
+
+def growth_steps(parts: Parts, k: int) -> list[Move]:
+    """One ``Move`` per weak cover of a k-bounded partition.
+
+    The target is the cover with its full k-rectangles deleted; ``removed``
+    is the rectangle type whose ledger count the step raises, if any.
+    """
+    base = reduce_rectangles(parts, k)[1]
+    out = []
+    for cover in weak_covers_bounded(parts, k):
+        target, ledger = reduce_rectangles(cover, k)
+        removed = next((i for i, (b, c) in enumerate(zip(base, ledger), start=1) if c > b), None)
+        out.append(Move(grown_column(parts, cover), target, removed, step_rate(parts, cover, k)))
+    return out
+
+
 def build_chain(k: int) -> MarkovChain:
     """Assemble the exact transition structure on all k! reduced states."""
     if k < 2:
         raise ValueError("the finite chain needs k >= 2")
     states = enumerate_reduced_states(k)
-    max_size = max(sum(s) for s in states) + 1
-    table = dimensions.dimension_table(k, max_size)
     moves: list[list[Move]] = []
     matrix: list[dict[int, Fraction]] = []
     for src in states:
         n = sum(src)
-        d_src = table[bounded_to_core(src, k)]
+        steps = growth_steps(src, k)
         row: dict[int, Fraction] = {}
-        out = []
-        for cover in weak_covers_bounded(src, k):
-            target, removed = reduce_cover(cover, k)
-            area = rectangle_area(removed, k) if removed else 0
-            if sum(target) != n + 1 - area:
-                raise InvariantError(f"move {src!r} -> {target!r} does not conserve boxes")
-            rate = Fraction(table[bounded_to_core(cover, k)], (n + 1) * d_src)
-            out.append(Move(grown_column(src, cover), target, removed, rate))
-            ti = factorial_index(target, k)
-            row[ti] = row.get(ti, Fraction(0)) + rate
-        total = sum(m.rate for m in out)
+        for move in steps:
+            area = rectangle_area(move.removed, k) if move.removed else 0
+            if sum(move.target) != n + 1 - area:
+                raise InvariantError(f"move {src!r} -> {move.target!r} does not conserve boxes")
+            ti = factorial_index(move.target, k)
+            row[ti] = row.get(ti, Fraction(0)) + move.rate
+        total = sum(m.rate for m in steps)
         if total != 1:
             raise InvariantError(f"row of {src!r} sums to {total}, not 1")
-        moves.append(out)
+        moves.append(steps)
         matrix.append(row)
     return MarkovChain(k, states, moves, matrix)
 
@@ -545,12 +561,10 @@ def verify_stationarity_identity(k: int, n: int) -> Report:
         measure = k_plancherel(k, m)
         prev = k_plancherel(k, m - 1)
         for lam, value in measure.items():
-            inflow = Fraction(0)
-            d_lam = dimensions.strong_dim_tableaux(lam, k)
-            for mu in weak_predecessors_bounded(lam, k):
-                inflow += prev[mu] * Fraction(
-                    d_lam, m * dimensions.strong_dim_tableaux(mu, k)
-                )
+            inflow = sum(
+                (prev[mu] * step_rate(mu, lam, k) for mu in weak_predecessors_bounded(lam, k)),
+                Fraction(0),
+            )
             if inflow != value:
                 bad = {"n": m, "state": lam, "lhs": str(value), "rhs": str(inflow)}
                 break

@@ -183,8 +183,12 @@ def cmd_chain(args) -> int:
 
 
 def _sim_config(args) -> simulate.SimConfig:
-    """The run configuration of ``simulate``: from --config, or from the flags."""
+    """The run configuration of ``simulate``: from --config alone, or from the flags."""
     if args.config:
+        flags = ("k", "n", "seed", "csv", "svg")
+        given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--config excludes {', '.join(given)}")
         with open(args.config, encoding="utf-8") as fh:
             return simulate.SimConfig.from_json(fh.read())
     if args.k is None or args.n is None:
@@ -194,9 +198,10 @@ def _sim_config(args) -> simulate.SimConfig:
         outputs["boundary_csv"] = args.csv
     if args.svg:
         outputs["svg"] = args.svg
-    return simulate.SimConfig.from_dict(
-        {"k": args.k, "n": args.n, "seed": args.seed, "outputs": outputs}
-    )
+    config = {"k": args.k, "n": args.n, "outputs": outputs}
+    if args.seed is not None:
+        config["seed"] = args.seed
+    return simulate.SimConfig.from_dict(config)
 
 
 def cmd_simulate(args) -> int:
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run configuration")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--csv", help="boundary CSV path")
     p.add_argument("--svg", help="overlay SVG path")
     p.add_argument("--force", action="store_true", help="lift the k<=6 guard")

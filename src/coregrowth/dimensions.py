@@ -229,7 +229,8 @@ def load_dimension_table(text: str, k: int) -> int:
 
     Returns the ``max_size`` the text holds.  Raises ValueError, before
     merging anything, when the text is not JSON, has another format, is for
-    another k, holds malformed entries or lacks a partition of a size up to
+    another k, has a non-integer ``k`` or ``max_size``, holds malformed
+    entries or non-positive dimensions, or lacks a partition of a size up to
     the ``max_size`` it claims.
     """
     try:
@@ -239,12 +240,14 @@ def load_dimension_table(text: str, k: int) -> int:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != DIMTABLE_FORMAT:
         raise ValueError(f"unsupported dimension table format: {fmt!r}")
-    if obj.get("k") != k:
+    if type(obj.get("k")) is not int or obj["k"] != k:
         raise ValueError(f"table is for k={obj.get('k')!r}, expected k={k}")
+    max_size = obj.get("max_size")
+    if type(max_size) is not int:
+        raise ValueError(f"max_size {max_size!r} is not an integer")
     try:
-        max_size = int(obj["max_size"])
         values = {
-            tuple(int(x) for x in key.split(",")) if key else (): int(val)
+            tuple(int(x) for x in key.split(",")) if key else (): _dimension(val)
             for key, val in obj["values"].items()
         }
         entries = {bounded_to_core(parts, k): d for parts, d in values.items()}
@@ -258,6 +261,13 @@ def load_dimension_table(text: str, k: int) -> int:
     table.by_core.update(entries)
     table.max_level = max(table.max_level, max_size)
     return max_size
+
+
+def _dimension(text) -> int:
+    """A dimension as table files hold it: the decimal string of a positive integer."""
+    if type(text) is not str or not (text.isascii() and text.isdigit()) or text[0] == "0":
+        raise ValueError(f"dimension {text!r} is not a string of a positive integer")
+    return int(text)
 
 
 def _cache_path(k: int) -> str:
@@ -405,12 +415,14 @@ def triangle_expand_intervals(k: int, universe: int | None = None) -> list[tuple
     return out
 
 
-def _displacements(terms, shift: int):
+def term_displacements(terms, shift: int = 0):
     """Yield each signed term as the net displacement of its raising moves.
 
     Entry p of a displacement moves entry p+1 of a vector; ``shift``
     relocates pair indices first.  Every displacement is as long as the
-    largest index any term reaches, so ``terms`` is read twice.
+    largest index any term reaches, so ``terms`` is read twice.  A caller
+    that evaluates one term set on many vectors keeps the displacements in
+    a tuple.
     """
     top = max((j + shift for pairs, _sign in terms for _i, j in pairs), default=0)
     for pairs, sign in terms:
@@ -419,11 +431,6 @@ def _displacements(terms, shift: int):
             delta[i + shift - 1] += 1
             delta[j + shift - 1] -= 1
         yield tuple(delta), sign
-
-
-def term_displacements(terms, shift: int = 0) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The signed net displacements of a term set, for evaluating it many times."""
-    return tuple(_displacements(terms, shift))
 
 
 def evaluate_displacements(displacements, vec) -> int:
@@ -438,16 +445,6 @@ def evaluate_displacements(displacements, vec) -> int:
             base += (0,) * (len(delta) - len(base))
         total += sign * h_coefficient((*map(add, base, delta), *base[len(delta):]))
     return total
-
-
-def evaluate_terms(terms, vec, shift: int = 0) -> int:
-    """Signed sum of h-coefficients after applying each operator set.
-
-    ``shift`` relocates pair indices; the vector is zero-padded on demand.
-    A caller evaluating one term set on many vectors computes
-    ``term_displacements`` once and calls ``evaluate_displacements``.
-    """
-    return evaluate_displacements(_displacements(terms, shift), vec)
 
 
 def compositions(m: int):
@@ -553,7 +550,7 @@ def long_column_vanishes(parts: Parts, k: int) -> bool:
     box = [(i, j) for i, window in enumerate(windows, start=1) for j in window]
     if len(box) > 20:
         raise ValueError("operator box too large for exhaustive expansion")
-    triangle = term_displacements(triangle_expand_inversions(t), shift=s)
+    triangle = tuple(term_displacements(triangle_expand_inversions(t), shift=s))
     for size in range(1, len(box) + 1):
         for x in combinations(box, size):
             if not any(j >= s + 1 for _i, j in x):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import lt
 
 Parts = tuple[int, ...]
 
@@ -24,8 +25,9 @@ EMPTY: Parts = ()
 
 def check_partition(parts) -> Parts:
     """Coerce to a tuple and validate weakly decreasing positive parts."""
-    t = tuple(int(x) for x in parts)
-    if any(x < 1 for x in t) or any(a < b for a, b in zip(t, t[1:])):
+    t = tuple(map(int, parts))
+    # Weakly decreasing parts are positive when the last one is.
+    if any(map(lt, t, t[1:])) or (t and t[-1] < 1):
         raise ValueError(f"not a partition: {parts!r}")
     return t
 
@@ -142,15 +144,6 @@ def reduce_rectangles(parts: Parts, k: int) -> tuple[Parts, tuple[int, ...]]:
         ledger[i - 1] = l[i - 1] // block
         l[i - 1] %= block
     return parts_from_multiplicities(l), tuple(ledger)
-
-
-def reduce_cover(cover: Parts, k: int) -> tuple[Parts, int | None]:
-    """Target of the move to ``cover`` and the rectangle type it deletes, if any.
-
-    A cover of a reduced state completes at most one k-rectangle.
-    """
-    target, ledger = reduce_rectangles(cover, k)
-    return target, next((i + 1 for i, c in enumerate(ledger) if c), None)
 
 
 def is_reduced(parts: Parts, k: int) -> bool:

@@ -17,7 +17,6 @@ from math import factorial
 from coregrowth.dimensions import (
     composition_sum,
     evaluate_displacements,
-    evaluate_terms,
     long_column_vanishes,
     term_displacements,
     triangle_determinant,
@@ -66,15 +65,15 @@ def _inversion_mismatches(max_t: int, vectors: int, seed: int):
     """
     rng = random.Random(seed)
     for t in range(2, max_t + 1):
-        inv = term_displacements(triangle_expand_inversions(t))
-        naive = term_displacements(triangle_expand_naive(t))
+        inv = tuple(term_displacements(triangle_expand_inversions(t)))
+        naive = tuple(term_displacements(triangle_expand_naive(t)))
         for _ in range(vectors):
             vec = tuple(rng.randint(0, 6) for _ in range(t))
             if evaluate_displacements(inv, vec) != evaluate_displacements(naive, vec):
                 yield {"t": t, "vec": vec}
     det_rng = random.Random(seed + 1)
     for t in range(2, max_t + 2):
-        inv = term_displacements(triangle_expand_inversions(t))
+        inv = tuple(term_displacements(triangle_expand_inversions(t)))
         for _ in range(vectors):
             vec = tuple(det_rng.randint(-2, 6) for _ in range(t))
             if triangle_determinant(vec) != evaluate_displacements(inv, vec):
@@ -87,9 +86,13 @@ def verify_interval_expansion(max_k: int) -> Report:
     arities_agree = True
     for k in range(2, max_k + 1):
         ones = (1,) * (k - 1)
-        by_inv = evaluate_terms(triangle_expand_inversions(k - 1), ones)
-        by_short = evaluate_terms(triangle_expand_intervals(k, universe=k - 1), ones)
-        by_full = evaluate_terms(triangle_expand_intervals(k, universe=k), ones)
+        by_inv = evaluate_displacements(term_displacements(triangle_expand_inversions(k - 1)), ones)
+        by_short = evaluate_displacements(
+            term_displacements(triangle_expand_intervals(k, universe=k - 1)), ones
+        )
+        by_full = evaluate_displacements(
+            term_displacements(triangle_expand_intervals(k, universe=k)), ones
+        )
         if by_short != by_full:
             arities_agree = False
         if not by_inv == by_short == 1:

@@ -194,8 +194,26 @@ def test_simulate_flags_are_validated(capsys):
         (lambda good: good.replace('"k": 3', '"k": 4'), "k=4"),
         (lambda good: '{"format": "coregrowth.dimtable.v1", "k": 3}', "max_size"),
         (lambda good: good.replace('"2,1": "2", ', ""), "lacks (2, 1)"),
+        (lambda good: json.dumps({**json.loads(good), "k": 3.0}), "k=3.0"),
+        (lambda good: json.dumps({**json.loads(good), "max_size": True}), "max_size True"),
+        (lambda good: json.dumps({**json.loads(good), "max_size": "3"}), "max_size '3'"),
+        (lambda good: good.replace('"1": "1"', '"1": "-7"'), "'-7' is not a string of a positive"),
+        (lambda good: good.replace('"1": "1"', '"1": "0"'), "'0' is not a string of a positive"),
+        (lambda good: good.replace('"1": "1"', '"1": 1'), "1 is not a string of a positive"),
     ],
-    ids=["truncated", "wrong-format", "wrong-k", "missing-keys", "missing-value"],
+    ids=[
+        "truncated",
+        "wrong-format",
+        "wrong-k",
+        "missing-keys",
+        "missing-value",
+        "float-k",
+        "bool-max-size",
+        "string-max-size",
+        "negative-dimension",
+        "zero-dimension",
+        "unquoted-dimension",
+    ],
 )
 def test_bad_cache_file_is_a_usage_error(tmp_path, capsys, content, message):
     cache = tmp_path / "cache"
@@ -337,14 +355,22 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["verify", "--k", "8", "--suite", "conjectures"],
         ["simulate", "--k", "8", "--n", "10"],
         ["dims", "--k", "7", "--all-reduced"],
+        ["simulate", "--config", "c.json", "--k", "5"],
+        ["simulate", "--config", "c.json", "--n", "7"],
+        ["simulate", "--config", "c.json", "--seed", "0"],
+        ["simulate", "--config", "c.json", "--csv", "x.csv"],
+        ["simulate", "--config", "c.json", "--svg", "x.svg"],
+        ["simulate", "--config", "c.json", "--k", "5", "--n", "7", "--seed", "9", "--csv", "x.csv"],
     ],
     ids=" ".join,
 )
-def test_bad_input_is_a_usage_error(argv):
+def test_bad_input_is_a_usage_error(tmp_path, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    (tmp_path / "c.json").write_text('{"k": 3, "n": 1000}')  # a config that runs
     proc = subprocess.run(
         [sys.executable, "-m", "coregrowth.cli", *argv],
+        cwd=tmp_path,
         env=env,
         capture_output=True,
         text=True,

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,9 @@ from coregrowth.partitions import (
     k_conjugate,
     multiplicities,
     parts_from_multiplicities,
-    reduce_cover,
     reduce_rectangles,
 )
+from coregrowth.chain import Move, growth_steps
 from coregrowth.posets import enumerate_bounded
 
 from oracles import is_core, maximal_state, rectangle
@@ -148,8 +149,14 @@ def test_reduce_examples():
     assert reduce_rectangles((4, 3, 1), 4) == ((3, 1), (0, 0, 0, 1))
     assert reduce_rectangles((2, 2, 1), 3) == ((1,), (0, 1, 0))
     assert reduce_rectangles(EMPTY, 3) == (EMPTY, (0, 0, 0))
-    assert reduce_cover((4, 3, 1), 4) == ((3, 1), 4)
-    assert reduce_cover((2, 1), 3) == ((2, 1), None)
+    # A step names the rectangle type whose ledger count it raises: none for a
+    # cover that only carries a rectangle its partition already held.
+    assert Move(4, (1, 1), 4, Fraction(1, 4)) in growth_steps((3, 1, 1), 4)
+    assert Move(1, (2, 1), None, Fraction(2, 3)) in growth_steps((2,), 3)
+    assert growth_steps((4, 3), 4) == [
+        Move(4, EMPTY, 4, Fraction(1, 4)),
+        Move(1, (3, 1), None, Fraction(3, 4)),
+    ]
 
 
 def test_reduce_conserves_boxes():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from coregrowth import simulate
+from coregrowth import chain as chain_mod
 from coregrowth.chain import MarkovChain, build_chain, rho_vector, stationary
 from coregrowth.partitions import (
     EMPTY,
@@ -203,6 +204,31 @@ def test_config_parsing():
 def test_projection_consistency():
     assert verify_projection(3, 10).passed
     assert verify_projection(4, 8).passed
+
+
+def test_projection_compares_removed_types_and_both_directions(monkeypatch):
+    """A chain with one removed type cleared, or with one move too many, fails."""
+    mc = build_chain(3)
+    i, j = next((i, j) for i, row in enumerate(mc.moves) for j, m in enumerate(row) if m.removed)
+    cleared = [list(row) for row in mc.moves]
+    cleared[i][j] = dataclasses.replace(cleared[i][j], removed=None)
+    extra = [list(row) for row in mc.moves]
+    stray = mc.moves[1][0]
+    assert stray.column not in {m.column for m in mc.moves[0]}
+    extra[0].append(stray)
+    for moves, b, unprojected, unmatched in (
+        (cleared, mc.states[i], [mc.moves[i][j]], [cleared[i][j]]),
+        (extra, EMPTY, [], [stray]),
+    ):
+        chain = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+        monkeypatch.setattr(chain_mod, "build_chain", lambda k: chain)
+        report = verify_projection(3, 10)
+        assert not report.passed
+        assert report.witness == {
+            "B": b,
+            "unprojected": list(map(repr, unprojected)),
+            "unmatched": list(map(repr, unmatched)),
+        }
 
 
 def test_reconstruct_core():

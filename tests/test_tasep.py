@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 
 from coregrowth import chain as chain_mod
-from coregrowth.chain import MarkovChain, Move, build_chain
+from coregrowth.chain import MarkovChain, Move, build_chain, growth_steps
 from coregrowth.partitions import (
     EMPTY,
     bounded_to_core,
     check_reduced,
     complement,
     enumerate_reduced_states,
-    reduce_cover,
 )
-from coregrowth.posets import grown_column, weak_covers_bounded
+from coregrowth.posets import weak_covers_bounded
 from coregrowth.reporting import InvariantError
 from coregrowth.tasep import (
     alpha,
@@ -188,14 +187,12 @@ def test_word_serialization():
 
 
 def k1_chain() -> MarkovChain:
-    """The one-state k=1 chain, from the move derivation ``build_chain`` uses.
+    """The one-state k=1 chain, from the growth steps ``build_chain`` reads.
 
-    ``build_chain`` needs k >= 2, so its loop is run here for the one state:
+    ``build_chain`` needs k >= 2, so the one state's steps are taken here:
     growing the empty partition completes the 1-rectangle, which is deleted.
     """
-    (cover,) = weak_covers_bounded(EMPTY, 1)
-    target, removed = reduce_cover(cover, 1)
-    move = Move(grown_column(EMPTY, cover), target, removed, Fraction(1))
+    (move,) = growth_steps(EMPTY, 1)
     assert move == Move(1, EMPTY, 1, Fraction(1))
     return MarkovChain(1, (EMPTY,), [[move]], [{0: Fraction(1)}])
 
@@ -225,8 +222,12 @@ def test_verifiers_read_the_chain_they_are_given():
 
 def test_build_chain_certifies_box_conservation(monkeypatch):
     """A move whose target misses the deleted rectangle's boxes raises."""
-    reduce_cover = chain_mod.reduce_cover
-    monkeypatch.setattr(chain_mod, "reduce_cover", lambda cover, k: (reduce_cover(cover, k)[0], None))
+    steps = chain_mod.growth_steps
+    monkeypatch.setattr(
+        chain_mod,
+        "growth_steps",
+        lambda parts, k: [dataclasses.replace(m, removed=None) for m in steps(parts, k)],
+    )
     with pytest.raises(InvariantError, match="does not conserve boxes"):
         build_chain(3)
 
