@@ -118,6 +118,7 @@ def cmd_dims(args) -> int:
     else:
         targets = [_parsed(check_k_bounded, args.partition, k)]
     print(f"{'partition':>20} {'d^(k)':>12} {'w^(k)':>12} {'d_hook':>12}  sandwich")
+    failed = False
     for lam in targets:
         d_strong = dimensions.strong_dim_tableaux(lam, k)
         d_weak = weak_dim(lam, k)
@@ -125,11 +126,12 @@ def cmd_dims(args) -> int:
         ok = d_weak <= d_hook <= d_strong
         flag = "w<=d<=d^(k)" if ok else "VIOLATED"
         if k >= sum(lam):
-            flag += " (equality regime)" if d_weak == d_hook == d_strong else " (equality VIOLATED)"
+            equal = d_weak == d_hook == d_strong
+            flag += " (equality regime)" if equal else " (equality VIOLATED)"
+            ok = ok and equal
         print(f"{_name(lam):>20} {d_strong:>12} {d_weak:>12} {d_hook:>12}  {flag}")
-        if not ok:
-            return EXIT_HARD_FAIL
-    return EXIT_OK
+        failed = failed or not ok
+    return EXIT_HARD_FAIL if failed else EXIT_OK
 
 
 def _assemble_chain(k: int):

@@ -23,11 +23,14 @@ next k-1 entries.  ``operator_windows`` is the one place that says which
 The triangle-operator helpers expose the same calculus as data: expansion of
 the full pair triangle over permutation inversion sets, the 2^k interval-run
 shortcut, signed composition sums, and the vanishing predicates used by the
-property suite.  A term set is evaluated through each term's net
-displacement, computed once per term set.  The vanishing check evaluates the
-full triangle by its Jacobi-Trudi determinant N! det[1/(v_i + j - i)!]
-(O(t^3) exact arithmetic); the t!-term inversion expansion stays as its
-oracle, which the property suite compares it against.
+property suite.  A term set is evaluated through its merged displacements:
+terms with the same net displacement are summed into one signed
+coefficient, once per term set, and each displacement then costs one
+product of factorials and one exact integer division per vector.  The
+vanishing check evaluates the full triangle by its Jacobi-Trudi determinant
+N! det[1/(v_i + j - i)!], with rows scaled to integers and eliminated by
+Bareiss in O(t^3); the t!-term inversion expansion stays as its oracle,
+which the property suite compares it against.
 
 ``table_cache`` is the one reader and writer of the tables' disk cache.
 """
@@ -70,19 +73,6 @@ def hook_dim(parts: Parts) -> int:
         for h in row:
             d //= h
     return d
-
-
-def h_coefficient(vec) -> int:
-    """Multinomial coefficient of x_1...x_n in h_vec; zero off the cone."""
-    total = 0
-    for v in vec:
-        if v < 0:
-            return 0
-        total += v
-    out = factorial(total)
-    for v in vec:
-        out //= factorial(v)
-    return out
 
 
 def raising_apply(pairs, vec) -> tuple[int, ...]:
@@ -416,34 +406,70 @@ def triangle_expand_intervals(k: int, universe: int | None = None) -> list[tuple
 
 
 def term_displacements(terms, shift: int = 0):
-    """Yield each signed term as the net displacement of its raising moves.
+    """Yield each distinct net displacement of ``terms`` once, with its summed sign.
 
-    Entry p of a displacement moves entry p+1 of a vector; ``shift``
-    relocates pair indices first.  Every displacement is as long as the
-    largest index any term reaches, so ``terms`` is read twice.  A caller
-    that evaluates one term set on many vectors keeps the displacements in
-    a tuple.
+    A term's net displacement moves entry p+1 of a vector by entry p;
+    ``shift`` relocates pair indices first.  Terms with the same
+    displacement evaluate alike on every vector, so they are merged, and a
+    displacement whose signs cancel is dropped.  Every displacement is as
+    long as the largest index any term reaches, so ``terms`` is read twice.
+    A caller that evaluates one term set on many vectors keeps the
+    displacements in a tuple.
     """
     top = max((j + shift for pairs, _sign in terms for _i, j in pairs), default=0)
+    merged: dict[tuple[int, ...], int] = {}
     for pairs, sign in terms:
         delta = [0] * top
         for i, j in pairs:
             delta[i + shift - 1] += 1
             delta[j + shift - 1] -= 1
-        yield tuple(delta), sign
+        key = tuple(delta)
+        merged[key] = merged.get(key, 0) + sign
+    for delta, sign in merged.items():
+        if sign:
+            yield delta, sign
 
 
 def evaluate_displacements(displacements, vec) -> int:
     """Signed sum of h-coefficients of ``vec`` moved by each displacement.
 
-    The vector is zero-padded to the displacements' length.
+    The vector is zero-padded to the displacements' length.  A displacement
+    keeps the sum N of the vector, so each h-coefficient is N! over the
+    factorials of its entries: N! and the factorials of the entries past the
+    displacement are divided out once, and each term costs one product of
+    factorials and one exact division.  A term with a negative entry is zero.
     """
     base = tuple(vec)
+    n = sum(base)
+    if n < 0:
+        return 0
     total = 0
+    width = None
     for delta, sign in displacements:
-        if len(base) < len(delta):
-            base += (0,) * (len(delta) - len(base))
-        total += sign * h_coefficient((*map(add, base, delta), *base[len(delta):]))
+        if len(delta) != width:
+            width = len(delta)
+            head = base[:width] + (0,) * (width - len(base))
+            tail = base[width:]
+            # A moved head sums to ``room``, so a term with an entry outside
+            # [0, room] has a negative one; a negative ``room`` or tail
+            # entry zeroes every term.
+            room = n - sum(tail)
+            if min(tail, default=0) < 0 or room < 0:
+                facts = None
+            else:
+                facts = [factorial(m) for m in range(room + 1)]
+                top = factorial(n)
+                for v in tail:
+                    top //= factorial(v)
+        if facts is None:
+            continue
+        denom = 1
+        for m in map(add, head, delta):
+            if not 0 <= m <= room:
+                break
+            denom *= facts[m]
+        else:
+            total += sign * (top // denom)
     return total
 
 
@@ -458,16 +484,20 @@ def compositions(m: int):
 
 
 def composition_sum(m: int) -> Fraction:
-    """Signed sum over compositions of 1/(c_1! ... c_t!); equals 1/m!."""
+    """Signed sum over compositions of 1/(c_1! ... c_t!); equals 1/m!.
+
+    Summed as the integers m!/(c_1! ... c_t!) over the one denominator m!.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    total = Fraction(0)
+    top = factorial(m)
+    total = 0
     for c in compositions(m):
-        term = Fraction(1)
+        term = top
         for part in c:
-            term /= factorial(part)
+            term //= factorial(part)
         total += term if (m - len(c)) % 2 == 0 else -term
-    return total
+    return Fraction(total, top)
 
 
 def triangle_determinant(vec) -> Fraction:
@@ -476,7 +506,11 @@ def triangle_determinant(vec) -> Fraction:
     Jacobi-Trudi (Macdonald, Symmetric Functions, I.3): the full triangle
     applied to h_vec is det[h_{v_i + j - i}], and the x_1...x_N coefficient
     of a product of h's is N! over their factorials, with 1/m! = 0 for
-    m < 0.  Exact Fraction elimination, O(t^3).
+    m < 0.  Row i is scaled by the factorial of its largest index
+    v_i - i + t - 1, which makes every entry an integer; a row whose largest
+    index is negative is zero.  The integer determinant is taken by Bareiss
+    elimination (Math. Comp. 22, 1968) with row swaps, O(t^3), and divided
+    by the scales at the end.
     """
     vec = tuple(vec)
     if not vec:
@@ -486,25 +520,34 @@ def triangle_determinant(vec) -> Fraction:
         # every product in the determinant then has a negative index
         return Fraction(0)
     t = len(vec)
-    rows = [
-        [Fraction(1, factorial(m)) if m >= 0 else Fraction(0) for m in range(v - i, v - i + t)]
-        for i, v in enumerate(vec)
-    ]
-    det = Fraction(factorial(total))
-    for col in range(t):
+    rows = []
+    scale = 1
+    for i, v in enumerate(vec):
+        top = v - i + t - 1
+        if top < 0:
+            return Fraction(0)
+        f = factorial(top)
+        scale *= f
+        rows.append([f // factorial(m) if m >= 0 else 0 for m in range(v - i, top + 1)])
+    sign = 1
+    prev = 1
+    for col in range(t - 1):
         piv = next((r for r in range(col, t) if rows[r][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
+            sign = -sign
         pivot = rows[col]
-        det *= pivot[col]
+        p = pivot[col]
         for r in range(col + 1, t):
-            f = rows[r][col] / pivot[col]
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
-    return det
+            row = rows[r]
+            a = row[col]
+            rows[r] = [0] * (col + 1) + [
+                (x * p - a * y) // prev for x, y in zip(row[col + 1 :], pivot[col + 1 :])
+            ]
+        prev = p
+    return Fraction(sign * factorial(total) * rows[-1][-1], scale)
 
 
 def triangle_value(vec) -> int:

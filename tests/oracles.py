@@ -1,5 +1,9 @@
-"""Test oracles shared by more than one test module."""
+"""Test oracles: direct restatements that the package's faster code is compared against."""
 
+from fractions import Fraction
+from math import factorial
+
+from coregrowth.dimensions import compositions
 from coregrowth.partitions import Parts, conjugate, parts_from_multiplicities
 
 
@@ -25,3 +29,55 @@ def rectangle(i: int, k: int) -> Parts:
 def maximal_state(k):
     """The largest reduced state, with l_i = k-i throughout."""
     return parts_from_multiplicities(tuple(k - i for i in range(1, k + 1)))
+
+
+def h_coefficient(vec) -> int:
+    """Multinomial coefficient of x_1...x_n in h_vec; zero off the cone."""
+    total = 0
+    for v in vec:
+        if v < 0:
+            return 0
+        total += v
+    out = factorial(total)
+    for v in vec:
+        out //= factorial(v)
+    return out
+
+
+def composition_sum(m: int) -> Fraction:
+    """Signed sum over compositions of 1/(c_1! ... c_t!), term by term in Fractions."""
+    total = Fraction(0)
+    for c in compositions(m):
+        term = Fraction(1)
+        for part in c:
+            term /= factorial(part)
+        total += term if (m - len(c)) % 2 == 0 else -term
+    return total
+
+
+def triangle_determinant(vec) -> Fraction:
+    """N! det[1/(v_i + j - i)!] by Fraction elimination, N = sum(vec) >= 0."""
+    vec = tuple(vec)
+    total = sum(vec)
+    if total < 0:
+        return Fraction(0)
+    t = len(vec)
+    rows = [
+        [Fraction(1, factorial(m)) if m >= 0 else Fraction(0) for m in range(v - i, v - i + t)]
+        for i, v in enumerate(vec)
+    ]
+    det = Fraction(factorial(total))
+    for col in range(t):
+        piv = next((r for r in range(col, t) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pivot = rows[col]
+        det *= pivot[col]
+        for r in range(col + 1, t):
+            f = rows[r][col] / pivot[col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
+    return det

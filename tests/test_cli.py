@@ -292,6 +292,27 @@ def test_failed_check_writes_no_cache(tmp_path, capsys, monkeypatch):
     assert not cache.exists()
 
 
+def test_equality_violation_fails_after_every_row(tmp_path, capsys, monkeypatch):
+    """A wrong d(2,1) in a cache file breaks the n <= k equality: exit 1, all rows printed."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "--all-reduced") == 0
+    path = cache / "dimtable_k3.json"
+    text = path.read_text()
+    assert '"2,1": "2"' in text
+    path.write_text(text.replace('"2,1": "2"', '"2,1": "3"'))
+    capsys.readouterr()
+    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 1
+    assert "(equality VIOLATED)" in capsys.readouterr().out
+    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+    assert run_cli("--cache", str(cache), "dims", "--k", "3", "--all-reduced") == 1
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 6
+    assert [row.split()[0] for row in rows if "VIOLATED" in row] == ["(2,1)"]
+    assert rows[-1].split()[0] == "(2,1,1)"
+
+
 def test_cache_is_off_outside_main(tmp_path, capsys):
     """A failed run writes nothing, and no cache outlives its ``main`` call."""
     cache = tmp_path / "cache"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -11,7 +12,6 @@ from coregrowth.dimensions import (
     composition_sum,
     dimension_table_json,
     evaluate_displacements,
-    h_coefficient,
     hook_dim,
     load_dimension_table,
     long_column_vanishes,
@@ -42,7 +42,8 @@ from coregrowth.posets import (
 )
 from coregrowth.reporting import InvariantError
 
-from oracles import rectangle
+import oracles
+from oracles import h_coefficient, rectangle
 
 
 def test_h_coefficient():
@@ -261,6 +262,54 @@ def test_displacements_match_direct_raising_moves():
                     assert evaluate_displacements(term_displacements(terms, shift), vec) == direct
 
 
+def test_merged_displacements_sum_the_signs_of_equal_terms():
+    """Each distinct displacement appears once, with its terms' signs summed."""
+    for t in range(1, 6):
+        term_sets = [triangle_expand_inversions(t), triangle_expand_naive(t)]
+        if t >= 2:
+            term_sets.append(triangle_expand_intervals(t, universe=t))
+        for terms in term_sets:
+            for shift in (0, 2):
+                top = max([0] + [j + shift for pairs, _s in terms for _i, j in pairs])
+                counts = Counter()
+                for pairs, sign in terms:
+                    moves = [(i + shift, j + shift) for i, j in pairs]
+                    counts[raising_apply(moves, (0,) * top)] += sign
+                expected = {delta: sign for delta, sign in counts.items() if sign}
+                assert dict(term_displacements(terms, shift)) == expected
+
+
+def test_inversion_and_naive_expansions_merge_to_one_map():
+    """The inversion expansion is the naive one with its cancellations done.
+
+    An identity of term sets, so it holds on every vector; the suite's
+    random-vector comparison only samples it.
+    """
+    for t in range(2, 7):
+        inversions = dict(term_displacements(triangle_expand_inversions(t)))
+        assert len(inversions) == factorial(t)
+        assert dict(term_displacements(triangle_expand_naive(t))) == inversions
+
+
+def test_bareiss_determinant_matches_fraction_elimination():
+    """Seeded vectors with t = 1..7 and entries in [-3, 8] against the oracle.
+
+    A negative first entry zeroes the first pivot, so a non-zero determinant
+    then needs a row swap; a row whose largest index v_i - i + t - 1 is
+    negative is all zero.  The vectors must include both.
+    """
+    rng = random.Random(19)
+    vectors = [(-1, 2), (-3, 0), (0, -1, 5), (2, -2, 0, 7)]
+    vectors += [tuple(rng.randint(-3, 8) for _ in range(t)) for t in range(1, 8) for _ in range(200)]
+    swapped = zero_row = 0
+    for vec in vectors:
+        value = triangle_determinant(vec)
+        assert value == oracles.triangle_determinant(vec), vec
+        swapped += vec[0] < 0 and value != 0
+        zero_row += any(v - i + len(vec) - 1 < 0 for i, v in enumerate(vec))
+    assert swapped and zero_row
+
+
 def test_triangle_determinant_matches_inversions(monkeypatch):
     rng = random.Random(12)
     vectors = [
@@ -336,7 +385,7 @@ def test_composition_sum():
     assert composition_sum(2) == Fraction(1, 2)
     assert composition_sum(6) == Fraction(1, 720)
     for m in range(1, 13):
-        assert composition_sum(m) == Fraction(1, factorial(m))
+        assert composition_sum(m) == oracles.composition_sum(m) == Fraction(1, factorial(m))
 
 
 def test_triangle_vanishing_base_cases():
