@@ -21,12 +21,13 @@ next k-1 entries.  ``operator_windows`` is the one place that says which
 (1 - R_ij) factors a row has.
 
 The triangle-operator helpers expose the same calculus as data: expansion of
-the full pair triangle over permutation inversion sets, the 2^k interval-run
-shortcut, signed composition sums, and the vanishing predicates used by the
-property suite.  A term set is evaluated through its merged displacements:
-terms with the same net displacement are summed into one signed
-coefficient, once per term set, and each displacement then costs one
-product of factorials and one exact integer division per vector.  The
+the full pair triangle over permutations (one displacement each, read off
+the permutation without its inversion set), the 2^k interval-run shortcut,
+signed composition sums, and the vanishing predicates used by the property
+suite.  A term set is evaluated through its merged displacements: terms
+with the same net displacement are summed into one signed coefficient, once
+per term set, and each displacement then costs one product of factorials
+and one exact integer division per vector.  The
 vanishing check evaluates the full triangle by its Jacobi-Trudi determinant
 N! det[1/(v_i + j - i)!], with rows scaled to integers and eliminated by
 Bareiss in O(t^3); the t!-term inversion expansion stays as its oracle,
@@ -44,9 +45,9 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, starmap
 from math import comb, factorial
-from operator import add
+from operator import add, gt
 
 from coregrowth.partitions import (
     Parts,
@@ -336,24 +337,30 @@ def table_cache(directory: str | None):
 
 # --- triangle operator calculus ------------------------------------------
 
-def inversion_set(perm) -> frozenset[Pair]:
-    """Inversions (i, j), i < j, of a permutation in one-line notation."""
-    pos = {v: p for p, v in enumerate(perm)}
-    n = len(perm)
-    return frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if pos[j] < pos[i]
-    )
+def inversion_displacements(t: int, shift: int = 0):
+    """The inversion expansion's merged displacements, read off the permutations.
 
-
-def triangle_expand_inversions(t: int) -> tuple[tuple[frozenset[Pair], int], ...]:
-    """The full triangle over t entries as t! signed inversion sets."""
+    Yields what ``term_displacements`` yields for the full triangle's t!
+    signed inversion sets, in the same order, without building the sets.
+    The inversions (i, j), i < j with j placed before i, of a permutation
+    raise entry v by #{w > v placed before v} and lower it by
+    #{w < v placed after v}: by p - (v - 1) in all, when p entries precede
+    v.  So distinct permutations never merge.  The sign is (-1)^inv.  As in
+    ``term_displacements`` a displacement is as long as the largest index an
+    inversion reaches: t + shift, or 0 at t = 1.
+    """
     if t < 1:
         raise ValueError("t must be positive")
-    terms = []
-    for perm in permutations(range(1, t + 1)):
-        inv = inversion_set(perm)
-        terms.append((inv, -1 if len(inv) % 2 else 1))
-    return tuple(terms)
+    if t == 1:
+        yield (), 1
+        return
+    pad = (0,) * shift
+    pos = [0] * t
+    for perm in permutations(range(t)):
+        for p, v in enumerate(perm):
+            pos[v] = p
+        inv = sum(starmap(gt, combinations(perm, 2)))
+        yield pad + tuple(p - v for v, p in enumerate(pos)), -1 if inv % 2 else 1
 
 
 def triangle_expand_naive(t: int) -> list[tuple[frozenset[Pair], int]]:
@@ -593,7 +600,7 @@ def long_column_vanishes(parts: Parts, k: int) -> bool:
     box = [(i, j) for i, window in enumerate(windows, start=1) for j in window]
     if len(box) > 20:
         raise ValueError("operator box too large for exhaustive expansion")
-    triangle = tuple(term_displacements(triangle_expand_inversions(t), shift=s))
+    triangle = tuple(inversion_displacements(t, shift=s))
     for size in range(1, len(box) + 1):
         for x in combinations(box, size):
             if not any(j >= s + 1 for _i, j in x):

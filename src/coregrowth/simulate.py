@@ -3,22 +3,28 @@
 The k-rectangle factorization projects each growth step of the infinite
 chain onto a move of the finite chain (``verify_projection`` certifies this
 at small sizes), so a trajectory is simulated in O(1) per step.  The
-kernel walks the labelled chain: a reduced state together with the classes
-of its k+1 labels, the TASEP on all (k+1)! label arrangements.  Per step it
-only draws a move and counts it.  The rectangle ledger, the state occupancy
-and the per-residue bead frontiers of the growing core are linear in those
-counts and are derived from them afterwards.  The core boundary at step n is
-reconstructed from the frontiers without ever materializing the million-row
-partition.
+labelled chain, a reduced state together with the classes of its k+1
+labels, is the TASEP on all (k+1)! label arrangements; it is certified to
+be the k! reduced states times the k+1 rotations of the classes, with each
+reduced move stepping the rotation and jumping over a label independently
+of the rotation.  So the kernel walks the k!-state reduced chain alone.
+Each draw becomes an exact symbol, its rank among the thresholds of all
+states, and m consecutive symbols one composed symbol, so one table lookup
+takes m steps; per block the loop only draws, walks and counts moves.  The
+rectangle ledger, the state occupancy, the per-residue bead frontiers of
+the growing core and the final rotation are linear in those counts and are
+derived from them afterwards.  The core boundary at step n is reconstructed
+from the frontiers without ever materializing the million-row partition.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import getitem, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from coregrowth import chain as chain_mod
@@ -119,6 +125,11 @@ class SamplingTable(NamedTuple):
     of ``nxt`` (the labelled state after the move) and ``moves`` (target,
     removed rectangle or 0, grown column, jumped-over label); a uniform draw u
     picks entry ``base[a] + bisect_right(cums[a], u)``.
+
+    Labelled state ``a`` is also the pair (``reduced[a]``, ``rotation[a]``):
+    its arrangement is that of ``canonical[reduced[a]]``, the first labelled
+    state reached with that reduced state, with every class shifted by the
+    rotation (mod k+1).
     """
 
     cums: list[list[float]]
@@ -127,6 +138,8 @@ class SamplingTable(NamedTuple):
     moves: list[tuple[int, int, int, int]]
     reduced: list[int]
     arrangements: list[tuple[int, ...]]
+    canonical: list[int]
+    rotation: list[int]
 
 
 def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
@@ -136,7 +149,9 @@ def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
     sigma = c - 1 (mod k+1), swapping with the label ``other`` found there.
     Each arrangement must carry one reduced state, so the closure has at most
     (k+1)! states; an arrangement reached with two reduced states raises
-    ``InvariantError``.  The real chain reaches all (k+1)! arrangements.
+    ``InvariantError``.  The real chain reaches all (k+1)! arrangements, and
+    ``_rotations`` certifies that they are the k! reduced states times the
+    k+1 rotations.
     """
     k = mc.k
     r = k + 1
@@ -152,7 +167,7 @@ def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
         cums.append(row)
         targets.append([factorial_index(m.target, k) for m in moves])
 
-    table = SamplingTable([], [], [], [], [0], [tuple(range(r))])
+    table = SamplingTable([], [], [], [], [0], [tuple(range(r))], [], [])
     index = {table.arrangements[0]: 0}
     a = 0
     while a < len(table.reduced):
@@ -178,7 +193,153 @@ def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
             table.nxt.append(b)
             table.moves.append((target, m.removed or 0, m.column, other))
         a += 1
-    return table
+    canonical, rotation = _rotations(table, len(mc.states))
+    return table._replace(canonical=canonical, rotation=rotation)
+
+
+def _rotations(table: SamplingTable, states: int) -> tuple[list[int], list[int]]:
+    """Certify that the labelled chain is the reduced chain times the rotations.
+
+    Returns the canonical labelled state of each reduced state (its first
+    reached) and the rotation of each labelled state.  Every arrangement must
+    be its canonical arrangement with all classes shifted by one amount, each
+    of the ``states`` reduced states must carry all k+1 shifts, and each
+    reduced move must step the rotation by the same amount and jump over the
+    same label from every rotation; otherwise ``InvariantError``.  Then the
+    reduced walk's move counts fix the labelled walk's outputs.
+    """
+    r = len(table.arrangements[0])
+    canonical = [-1] * states
+    carried = [0] * states
+    rotation = []
+    for a, (s, arr) in enumerate(zip(table.reduced, table.arrangements)):
+        if canonical[s] < 0:
+            canonical[s] = a
+        first = table.arrangements[canonical[s]]
+        turn = (arr[0] - first[0]) % r
+        if any((c - c0 - turn) % r for c, c0 in zip(arr, first)):
+            raise InvariantError(
+                f"arrangement {arr} of reduced state {s} is not a rotation of {first}"
+            )
+        rotation.append(turn)
+        carried[s] += 1
+    for s, count in enumerate(carried):
+        if count != r:
+            raise InvariantError(f"reduced state {s} carries {count} arrangements, not {r}")
+    for a, s in enumerate(table.reduced):
+        base, base0 = table.base[a], table.base[canonical[s]]
+        for i in range(len(table.cums[a])):
+            j, j0 = base + i, base0 + i
+            step = (rotation[table.nxt[j]] - rotation[a]) % r
+            if step != rotation[table.nxt[j0]] or table.moves[j][3] != table.moves[j0][3]:
+                raise InvariantError(
+                    f"move {i} of reduced state {s} depends on the rotation: from rotation "
+                    f"{rotation[a]} it steps by {step} over label {table.moves[j][3]}, from 0 "
+                    f"by {rotation[table.nxt[j0]]} over label {table.moves[j0][3]}"
+                )
+    return canonical, rotation
+
+
+# The most entries (reduced states x composed symbols) of the composed step
+# table.  m steps make one symbol for the largest m with k! * G**m at or
+# below it, so the table and its rows stay within about a megabyte; from
+# k = 5 on one step already exceeds it and m = 1.
+COMPOSED_ENTRIES = 2**15
+
+
+class WalkTables(NamedTuple):
+    """The reduced chain as step tables indexed by exact symbols.
+
+    Reduced moves are numbered by state, then in ``mc.moves`` order; move j
+    is ``moves[j]`` (target, removed rectangle or 0, grown column,
+    jumped-over label) and steps the rotation by ``turns[j]``.  State s's
+    canonical arrangement is ``arrangements[s]``.
+
+    A draw u is symbol g, the number of ``breaks`` at or below u: the
+    sorted thresholds of all reduced states, followed by ``depth``
+    infinities; ``below`` indexes them by bucket for ``_symbols``.  As every
+    threshold is a break, from state s symbol g picks move
+    ``step_move[s, g]``, the one ``bisect_right(cums[s], u)`` picks.
+    The symbols g_1..g_m of m consecutive draws make one composed symbol
+    c = sum of g_t G**(m-t), G symbols in all; from s it fires the moves
+    ``composed_move[s * G**m + c]`` in order, and the last one's target is
+    the state reached.
+    """
+
+    moves: list[tuple[int, int, int, int]]
+    turns: list[int]
+    arrangements: list[tuple[int, ...]]
+    breaks: np.ndarray
+    below: np.ndarray
+    depth: int
+    step_move: np.ndarray
+    m: int
+    composed_move: np.ndarray
+
+
+def _walk_tables(table: SamplingTable) -> WalkTables:
+    """The step tables of the reduced chain, in the narrowest integer dtypes."""
+    import numpy as np
+
+    cums = [table.cums[a] for a in table.canonical]
+    # reduced move j is labelled move labelled[j], from its state's canonical arrangement
+    labelled = [
+        table.base[a] + i for a, row in zip(table.canonical, cums) for i in range(len(row))
+    ]
+    moves = [table.moves[j] for j in labelled]
+    states = len(cums)
+    breaks = np.array(sorted({c for row in cums for c in row}))
+    symbols = len(breaks)
+    step_move = np.empty((states, symbols), np.min_scalar_type(len(moves) - 1))
+    first = 0
+    for s, row in enumerate(cums):
+        step_move[s] = np.searchsorted(row, breaks) + first
+        first += len(row)
+    targets = np.array([move[0] for move in moves], np.min_scalar_type(states - 1))
+    m = 1
+    while states * symbols ** (m + 1) <= COMPOSED_ENTRIES:
+        m += 1
+    composed_move = step_move[:, :, None]
+    for _ in range(m - 1):
+        reached = targets[composed_move[:, :, -1]]
+        composed_move = np.concatenate(
+            (
+                np.repeat(composed_move, symbols, axis=1),
+                step_move[reached].reshape(states, -1, 1),
+            ),
+            axis=2,
+        )
+    # 8 or more buckets per break; a power of two makes u * buckets exact
+    buckets = 8 << (symbols - 1).bit_length()
+    below = np.searchsorted(breaks, np.arange(buckets + 1) / buckets)
+    depth = int(np.diff(below).max())
+    return WalkTables(
+        moves=moves,
+        turns=[table.rotation[table.nxt[j]] for j in labelled],
+        arrangements=[table.arrangements[a] for a in table.canonical],
+        breaks=np.concatenate((breaks, np.full(depth, np.inf))),
+        below=below[:-1].astype(np.min_scalar_type(symbols + depth)),
+        depth=depth,
+        step_move=step_move,
+        m=m,
+        composed_move=composed_move.reshape(-1, m),
+    )
+
+
+def _symbols(walk: WalkTables, u: np.ndarray) -> np.ndarray:
+    """The symbol of each draw 0 <= u < 1: ``searchsorted(breaks, u, side="right")``.
+
+    Draw u falls in bucket floor(u * B), B = ``len(below)``, whose first
+    break is ``below[...]``; at most ``depth`` breaks lie inside a bucket,
+    so as many comparisons finish the count.
+    """
+    import numpy as np
+
+    first = walk.below[(u * len(walk.below)).astype(np.intp)]
+    g = first.astype(np.intp)
+    for t in range(walk.depth):
+        g += u >= walk.breaks[first + t]
+    return g
 
 
 def initial_frontiers(k: int) -> list[int]:
@@ -191,31 +352,42 @@ BLOCK = 8192
 
 
 def run_simulation(config: SimConfig) -> SimResult:
-    """Walk the labelled chain, counting how often each move fires.
+    """Walk the reduced chain in composed steps, counting how often each move fires.
 
-    Every output except the current state is linear in those counts, so the
-    loop only draws, counts and jumps; occupancy, ledger and frontiers are
-    derived from the counts afterwards (the ledger also at each checkpoint,
-    where a block always ends).
+    By ``_rotations`` a reduced move fires the same labelled move from every
+    rotation, so every output except the current state is linear in the
+    reduced move counts: occupancy, ledger and by-label frontiers, and the
+    final rotation, the counts times each move's rotation step.  The loop
+    only draws, walks and counts; the outputs are derived from the counts
+    afterwards (the ledger also at each checkpoint, where a block always
+    ends).
     """
     import numpy as np
 
     k = config.k
     mc = chain_mod.build_chain(k)
-    table = _sampling_tables(mc)
-    cums, base, nxt = table.cums, table.base, table.nxt
+    walk = _walk_tables(_sampling_tables(mc))
     sizes = [sum(s) for s in mc.states]
-    removals = [(j, move[1] - 1) for j, move in enumerate(table.moves) if move[1]]
-    counts = [0] * len(nxt)
+    removed = np.array([move[1] for move in walk.moves])
+    removals = [np.flatnonzero(removed == i) for i in range(1, k + 1)]
+    counts = np.zeros(len(walk.moves), dtype=np.int64)
 
     def ledger_now() -> list[int]:
-        ledger = [0] * k
-        for j, i in removals:
-            ledger[i] += counts[j]
-        return ledger
+        return [int(counts[j].sum()) for j in removals]
+
+    m, (states, symbols) = walk.m, walk.step_move.shape
+    width = symbols**m
+    targets = [move[0] for move in walk.moves]
+    # rows[s][c] is the row of the state that composed symbol c reaches from
+    # s; the last entry, never a symbol, is s itself.
+    rows: list[list] = [[] for _ in range(states)]
+    for s, row in enumerate(rows):
+        last = walk.composed_move[s * width : (s + 1) * width, -1].tolist()
+        row.extend(map(rows.__getitem__, map(targets.__getitem__, last)))
+        row.append(s)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    a = 0
+    row = rows[0]
     checkpoints: list[tuple[int, int, tuple[int, ...]]] = []
     every = config.checkpoint_every
     done = 0
@@ -223,32 +395,46 @@ def run_simulation(config: SimConfig) -> SimResult:
         stop = min(done + BLOCK, config.n)
         if every:
             stop = min(stop, (done // every + 1) * every)
-        for u in rng.random(stop - done).tolist():
-            j = base[a] + bisect_right(cums[a], u)
+        g = _symbols(walk, rng.random(stop - done))
+        q = len(g) // m
+        composed = g[: q * m : m]
+        for t in range(1, m):
+            composed = composed * symbols + g[t : q * m : m]
+        visited = list(accumulate(composed.tolist(), getitem, initial=row))
+        row = visited.pop()
+        at = np.fromiter(map(itemgetter(-1), visited), np.intp, q) * width + composed
+        counts += np.bincount(walk.composed_move[at].ravel(), minlength=len(counts))
+        for symbol in g[q * m :].tolist():  # the < m steps left take single steps
+            j = walk.step_move[row[-1], symbol]
             counts[j] += 1
-            a = nxt[j]
+            row = rows[targets[j]]
         done = stop
         if every and done % every == 0:
             ledger = ledger_now()
-            _assert_conserved(done, sizes[table.reduced[a]], ledger, k)
-            checkpoints.append((done, table.reduced[a], tuple(ledger)))
+            _assert_conserved(done, sizes[row[-1]], ledger, k)
+            checkpoints.append((done, row[-1], tuple(ledger)))
+    state = row[-1]
+    for row in rows:  # break the rows' reference cycles
+        row.clear()
 
     ledger = ledger_now()
-    _assert_conserved(config.n, sizes[table.reduced[a]], ledger, k)
-    occupancy = [0] * len(mc.states)
+    _assert_conserved(config.n, sizes[state], ledger, k)
+    occupancy = [0] * states
     by_label = initial_frontiers(k)  # label i+1 starts at class i
-    for (target, _removed, column, other), c in zip(table.moves, counts):
+    turn = 0
+    for (target, _removed, column, other), step, c in zip(walk.moves, walk.turns, counts.tolist()):
         occupancy[target] += c
         by_label[column - 1] -= c  # the jumping label's frontier steps down
         by_label[other - 1] += c  # the jumped-over label's steps up
+        turn += step * c
     frontiers = [0] * (k + 1)
-    for label, cls in enumerate(table.arrangements[a]):
-        frontiers[cls] = by_label[label]
+    for label, cls in enumerate(walk.arrangements[state]):
+        frontiers[(cls + turn) % (k + 1)] = by_label[label]
     boundary = boundary_from_frontiers(frontiers, k, config.n, config.boundary_samples)
     return SimResult(
         config=config,
         steps=config.n,
-        final_state=mc.states[table.reduced[a]],
+        final_state=mc.states[state],
         ledger=tuple(ledger),
         occupancy=np.array(occupancy, dtype=np.int64),
         frontiers=tuple(frontiers),

@@ -17,11 +17,11 @@ from math import factorial
 from coregrowth.dimensions import (
     composition_sum,
     evaluate_displacements,
+    inversion_displacements,
     long_column_vanishes,
     term_displacements,
     triangle_determinant,
     triangle_expand_intervals,
-    triangle_expand_inversions,
     triangle_expand_naive,
     triangle_vanishes,
 )
@@ -65,7 +65,7 @@ def _inversion_mismatches(max_t: int, vectors: int, seed: int):
     """
     rng = random.Random(seed)
     for t in range(2, max_t + 1):
-        inv = tuple(term_displacements(triangle_expand_inversions(t)))
+        inv = tuple(inversion_displacements(t))
         naive = tuple(term_displacements(triangle_expand_naive(t)))
         for _ in range(vectors):
             vec = tuple(rng.randint(0, 6) for _ in range(t))
@@ -73,7 +73,7 @@ def _inversion_mismatches(max_t: int, vectors: int, seed: int):
                 yield {"t": t, "vec": vec}
     det_rng = random.Random(seed + 1)
     for t in range(2, max_t + 2):
-        inv = tuple(term_displacements(triangle_expand_inversions(t)))
+        inv = tuple(inversion_displacements(t))
         for _ in range(vectors):
             vec = tuple(det_rng.randint(-2, 6) for _ in range(t))
             if triangle_determinant(vec) != evaluate_displacements(inv, vec):
@@ -86,7 +86,7 @@ def verify_interval_expansion(max_k: int) -> Report:
     arities_agree = True
     for k in range(2, max_k + 1):
         ones = (1,) * (k - 1)
-        by_inv = evaluate_displacements(term_displacements(triangle_expand_inversions(k - 1)), ones)
+        by_inv = evaluate_displacements(inversion_displacements(k - 1), ones)
         by_short = evaluate_displacements(
             term_displacements(triangle_expand_intervals(k, universe=k - 1)), ones
         )

@@ -1,6 +1,7 @@
 """Test oracles: direct restatements that the package's faster code is compared against."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from coregrowth.dimensions import compositions
@@ -81,3 +82,23 @@ def triangle_determinant(vec) -> Fraction:
             if f:
                 rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
     return det
+
+
+def inversion_set(perm) -> frozenset[tuple[int, int]]:
+    """Inversions (i, j), i < j, of a permutation in one-line notation."""
+    pos = {v: p for p, v in enumerate(perm)}
+    n = len(perm)
+    return frozenset(
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if pos[j] < pos[i]
+    )
+
+
+def triangle_expand_inversions(t: int) -> tuple[tuple[frozenset[tuple[int, int]], int], ...]:
+    """The full triangle over t entries as t! signed inversion sets."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    terms = []
+    for perm in permutations(range(1, t + 1)):
+        inv = inversion_set(perm)
+        terms.append((inv, -1 if len(inv) % 2 else 1))
+    return tuple(terms)

@@ -13,6 +13,7 @@ from coregrowth.dimensions import (
     dimension_table_json,
     evaluate_displacements,
     hook_dim,
+    inversion_displacements,
     load_dimension_table,
     long_column_vanishes,
     operator_windows,
@@ -22,7 +23,6 @@ from coregrowth.dimensions import (
     term_displacements,
     triangle_determinant,
     triangle_expand_intervals,
-    triangle_expand_inversions,
     triangle_expand_naive,
     triangle_value,
     triangle_vanishes,
@@ -43,7 +43,7 @@ from coregrowth.posets import (
 from coregrowth.reporting import InvariantError
 
 import oracles
-from oracles import h_coefficient, rectangle
+from oracles import h_coefficient, rectangle, triangle_expand_inversions
 
 
 def test_h_coefficient():
@@ -289,6 +289,16 @@ def test_inversion_and_naive_expansions_merge_to_one_map():
         inversions = dict(term_displacements(triangle_expand_inversions(t)))
         assert len(inversions) == factorial(t)
         assert dict(term_displacements(triangle_expand_naive(t))) == inversions
+
+
+def test_displacements_read_off_permutations_match_the_inversion_sets():
+    """Position minus value, signed by parity: the inversion sets' displacements, in order."""
+    for t in range(1, 8):
+        terms = triangle_expand_inversions(t)
+        for shift in (0, 1, 3):
+            assert list(inversion_displacements(t, shift)) == list(term_displacements(terms, shift))
+    with pytest.raises(ValueError):
+        list(inversion_displacements(0))
 
 
 def test_bareiss_determinant_matches_fraction_elimination():

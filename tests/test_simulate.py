@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,6 +169,107 @@ def test_broken_label_correspondence_raises(monkeypatch):
     monkeypatch.setattr(simulate.chain_mod, "build_chain", lambda k: broken)
     with pytest.raises(InvariantError, match="not a function of the label arrangement"):
         run_simulation(SimConfig(k=3, n=10, seed=1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_labelled_states_are_the_rotations_of_one_arrangement(k):
+    """Each reduced state carries exactly k+1 arrangements, all rotations of
+    its first-reached one, and ``rotation`` names the shift of each."""
+    mc = build_chain(k)
+    table = simulate._sampling_tables(mc)
+    r = k + 1
+    by_state = {}
+    for a, s in enumerate(table.reduced):
+        by_state.setdefault(s, []).append(a)
+    assert sorted(by_state) == list(range(len(mc.states)))
+    for s, labelled in by_state.items():
+        assert table.canonical[s] == labelled[0]
+        first = table.arrangements[labelled[0]]
+        arrangements = [table.arrangements[a] for a in labelled]
+        assert len(arrangements) == r
+        assert set(arrangements) == {tuple((c + t) % r for c in first) for t in range(r)}
+        for a in labelled:
+            assert table.arrangements[a] == tuple((c + table.rotation[a]) % r for c in first)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_reduced_moves_agree_across_rotations(k):
+    """A reduced move steps the rotation by one amount and jumps over one
+    label from all k+1 arrangements of its state."""
+    mc = build_chain(k)
+    table = simulate._sampling_tables(mc)
+    r = k + 1
+    first = {}
+    for a, s in enumerate(table.reduced):
+        first.setdefault(s, table.arrangements[a])
+
+    def shift(a):
+        return (table.arrangements[a][0] - first[table.reduced[a]][0]) % r
+
+    seen = {}
+    for a, s in enumerate(table.reduced):
+        for i in range(len(mc.moves[s])):
+            j = table.base[a] + i
+            seen.setdefault((s, i), set()).add(
+                ((shift(table.nxt[j]) - shift(a)) % r, table.moves[j][3])
+            )
+    assert len(seen) == sum(len(row) for row in mc.moves)
+    assert all(len(found) == 1 for found in seen.values())
+
+
+def test_tampered_jumped_over_label_raises():
+    mc = build_chain(3)
+    table = simulate._sampling_tables(mc)
+    a = next(a for a, turn in enumerate(table.rotation) if turn)
+    j = table.base[a]
+    target, removed, column, other = table.moves[j]
+    moves = list(table.moves)
+    moves[j] = (target, removed, column, other % 4 + 1)
+    simulate._rotations(table, len(mc.states))  # the untampered table passes
+    with pytest.raises(InvariantError, match="depends on the rotation"):
+        simulate._rotations(table._replace(moves=moves), len(mc.states))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_symbols_pick_the_bisect_move_of_every_state(k):
+    """At every break, just below it, at 0 and on random draws, the one
+    global symbol picks from each state the move ``bisect_right`` picks."""
+    table = simulate._sampling_tables(build_chain(k))
+    walk = simulate._walk_tables(table)
+    cums = [table.cums[a] for a in table.canonical]
+    breaks = np.array(sorted({c for row in cums for c in row}))
+    assert np.array_equal(walk.breaks[: len(breaks)], breaks)
+    draws = np.concatenate(
+        (breaks, np.nextafter(breaks, 0), [0.0], np.random.default_rng(k).random(2000))
+    )
+    draws = draws[draws < 1]  # a draw is below 1; the top threshold lies above it
+    g = simulate._symbols(walk, draws)
+    assert np.array_equal(g, np.searchsorted(breaks, draws, side="right"))
+    first = 0
+    for s, row in enumerate(cums):
+        picked = [first + bisect_right(row, u) for u in draws.tolist()]
+        assert walk.step_move[s, g].tolist() == picked
+        first += len(row)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_composed_table_is_m_single_steps_within_the_cap(k):
+    walk = simulate._walk_tables(simulate._sampling_tables(build_chain(k)))
+    states, symbols = walk.step_move.shape
+    width = symbols**walk.m
+    assert states * width <= simulate.COMPOSED_ENTRIES or walk.m == 1
+    assert states * width * symbols > simulate.COMPOSED_ENTRIES
+    assert walk.composed_move.shape == (states * width, walk.m)
+    assert walk.step_move.itemsize <= 2 and walk.composed_move.itemsize <= 2
+    if k > 4:
+        return
+    targets = np.array([move[0] for move in walk.moves])
+    state = np.repeat(np.arange(states), width)
+    c = np.tile(np.arange(width), states)
+    for t in range(walk.m):
+        g = c // symbols ** (walk.m - 1 - t) % symbols
+        assert np.array_equal(walk.composed_move[:, t], walk.step_move[state, g])
+        state = targets[walk.step_move[state, g]]
 
 
 def test_config_parsing():
