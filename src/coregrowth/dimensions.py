@@ -7,7 +7,10 @@ component count.  The strong covers of a core kappa are the cores of the
 level below that it contains.  Each level below is indexed once by length
 and then by first part, so kappa scans only the cores no longer than it
 whose first part is at most kappa[0]; ``contains`` stays the exact test
-on each of them.
+on each of them.  The table is a memo: a lookup fills its core and the
+covers below it not yet known, so it computes the strong-order ideal of
+the cores asked for, not whole levels.  ``dimension_table`` without a core,
+and so the disk cache, still fills every core up to a level.
 
 ``strong_dim_raising`` expands the defining operator product
 
@@ -138,36 +141,65 @@ def strong_dim_raising(parts: Parts, k: int) -> int:
 # --- tableau engine: DP over cores ---------------------------------------
 
 class _DimTable:
-    """Per-k dimension table over cores, grown level by level."""
+    """Per-k memo of dimensions over cores, filled on demand.
+
+    ``fill`` computes one core from its strong covers, recursing only into
+    covers not yet in ``by_core``, so a lookup fills the strong-order ideal
+    below its core and nothing else.  ``extend`` fills every core of the
+    levels up to ``level`` with the same ``fill``.  ``max_level`` is the
+    highest level any lookup asked for (every core in ``by_core`` lies at or
+    below it); ``complete`` is the highest level whose every core is in
+    ``by_core``.
+    """
 
     def __init__(self, k: int):
         self.k = k
         self.max_level = 0
+        self.complete = 0
         self.by_core: dict[Parts, int] = {(): 1}
+        self._index: dict[int, list[tuple[int, list[int], list[Parts]]]] = {}
 
-    def extend(self, level: int) -> None:
-        k = self.k
-        dims = self.by_core
-        for n in range(self.max_level + 1, level + 1):
-            # A core inside kappa is no longer than kappa and has first part
-            # at most kappa[0]; ``contains`` stays the exact test.
+    def _level_index(self, n: int) -> list[tuple[int, list[int], list[Parts]]]:
+        """The cores of level n grouped by length (rising), each group by first part.
+
+        A core inside kappa is no longer than kappa and has first part at
+        most kappa[0]; ``contains`` stays the exact test.
+        """
+        index = self._index.get(n)
+        if index is None:
             by_length: dict[int, list[Parts]] = {}
-            for tau in sorted(cores_of_level(k, n - 1), key=_first_part):
+            for tau in sorted(cores_of_level(self.k, n), key=_first_part):
                 by_length.setdefault(len(tau), []).append(tau)
-            index = [
+            index = self._index[n] = [
                 (length, [_first_part(tau) for tau in group], group)
                 for length, group in sorted(by_length.items())
             ]
-            for kappa in cores_of_level(k, n):
-                top = _first_part(kappa)
-                total = 0
-                for length, firsts, group in index:
-                    if length > len(kappa):
-                        break
-                    for tau in group[: bisect_right(firsts, top)]:
-                        if contains(kappa, tau):
-                            total += skew_components(kappa, tau) * dims[tau]
-                dims[kappa] = total
+        return index
+
+    def fill(self, kappa: Parts, n: int) -> int:
+        """d(kappa) for the core kappa of level n >= 1, memoised with its ideal."""
+        dims = self.by_core
+        top = _first_part(kappa)
+        total = 0
+        for length, firsts, group in self._level_index(n - 1):
+            if length > len(kappa):
+                break
+            for tau in group[: bisect_right(firsts, top)]:
+                if contains(kappa, tau):
+                    d = dims.get(tau)
+                    if d is None:
+                        d = self.fill(tau, n - 1)
+                    total += skew_components(kappa, tau) * d
+        dims[kappa] = total
+        return total
+
+    def extend(self, level: int) -> None:
+        dims = self.by_core
+        for n in range(self.complete + 1, level + 1):
+            for kappa in cores_of_level(self.k, n):
+                if kappa not in dims:
+                    self.fill(kappa, n)
+        self.complete = max(self.complete, level)
         self.max_level = max(self.max_level, level)
 
 
@@ -183,23 +215,37 @@ _cache_dir: str | None = None
 _file_levels: dict[int, int] = {}
 
 
-def dimension_table(k: int, max_size: int) -> dict[Parts, int]:
+def _table(k: int) -> _DimTable:
+    """k's table, created only when k has none."""
+    table = _TABLES.get(k)
+    if table is None:
+        table = _TABLES[k] = _DimTable(k)
+    return table
+
+
+def dimension_table(k: int, max_size: int, core: Parts | None = None) -> dict[Parts, int]:
     """Dimension of every (k+1)-core of bounded size up to ``max_size``.
 
+    Given ``core``, a core of bounded size ``max_size``, the table holds
+    instead at least ``core`` and every core below it in the strong order.
     Inside ``table_cache`` the first call for a k merges that k's cache file.
     """
     if _cache_dir is not None and k not in _file_levels:
         _file_levels[k] = _load_cache_file(k)
-    table = _TABLES.setdefault(k, _DimTable(k))
-    table.extend(max_size)
+    table = _table(k)
+    if core is None:
+        table.extend(max_size)
+    elif core not in table.by_core:
+        table.fill(core, max_size)
+        table.max_level = max(table.max_level, max_size)
     return table.by_core
 
 
 def strong_dim_tableaux(parts: Parts, k: int) -> int:
     """Dimension by the marked strong-chain dynamic program."""
     parts = check_k_bounded(parts, k)
-    table = dimension_table(k, sum(parts))
-    return table[bounded_to_core(parts, k)]
+    core = bounded_to_core(parts, k)
+    return dimension_table(k, sum(parts), core)[core]
 
 
 def dimension_table_json(k: int, max_size: int) -> str:
@@ -248,8 +294,9 @@ def load_dimension_table(text: str, k: int) -> int:
         missing = next((b for b in enumerate_bounded(k, n) if b not in values), None)
         if missing is not None:
             raise ValueError(f"table claims sizes up to {max_size} but lacks {missing!r}")
-    table = _TABLES.setdefault(k, _DimTable(k))
+    table = _table(k)
     table.by_core.update(entries)
+    table.complete = max(table.complete, max_size)
     table.max_level = max(table.max_level, max_size)
     return max_size
 

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
 
 from coregrowth import dimensions, verify_appendix
+from coregrowth.chain import build_chain
 from coregrowth.dimensions import (
     _dim_by_convolution,
     composition_sum,
@@ -29,6 +31,7 @@ from coregrowth.dimensions import (
 )
 from coregrowth.partitions import (
     EMPTY,
+    bounded_to_core,
     enumerate_reduced_states,
     k_conjugate,
 )
@@ -423,10 +426,22 @@ def test_dimension_table_json_round_trip():
         load_dimension_table(text, 4)
 
 
+def chain_partitions(k):
+    """The k! states and their weak covers: the partitions ``build_chain`` reads."""
+    return [lam for s in enumerate_reduced_states(k) for lam in [s] + weak_covers_bounded(s, k)]
+
+
+def chain_levels(k):
+    """The highest bounded size among the k! states and their weak covers."""
+    return max(sum(s) for s in enumerate_reduced_states(k)) + 1
+
+
+@cache
 def all_pairs_table(k, levels):
     """The tableaux table with every core of the level below as a candidate.
 
     Returns the table and the number of strong covers it summed over.
+    Cached: callers must not change the table.
     """
     table = {EMPTY: 1}
     covers = 0
@@ -444,7 +459,7 @@ def all_pairs_table(k, levels):
 
 @pytest.mark.parametrize("k, covers", [(2, 3), (3, 25), (4, 317), (5, 5205)])
 def test_indexed_scan_matches_all_pairs_oracle(monkeypatch, k, covers):
-    levels = max(sum(s) for s in enumerate_reduced_states(k)) + 1
+    levels = chain_levels(k)
     oracle, oracle_covers = all_pairs_table(k, levels)
     assert oracle_covers == covers
     hits = 0
@@ -459,6 +474,98 @@ def test_indexed_scan_matches_all_pairs_oracle(monkeypatch, k, covers):
     monkeypatch.setattr(dimensions, "contains", counting_contains)
     assert dimensions.dimension_table(k, levels) == oracle
     assert hits == covers
+
+
+def strong_ideal(k, partitions):
+    """The cores of ``partitions`` and every core below them in the strong order.
+
+    Closed downwards one level at a time with every core of the level below
+    as a candidate, as in ``all_pairs_table``.
+    """
+    by_level = {}
+    for parts in partitions:
+        by_level.setdefault(sum(parts), set()).add(bounded_to_core(parts, k))
+    ideal = {EMPTY}
+    for n in range(max(by_level), 0, -1):
+        upper = by_level.get(n, set())
+        ideal |= upper
+        below = by_level.setdefault(n - 1, set())
+        below.update(tau for tau in cores_of_level(k, n - 1) if any(contains(kappa, tau) for kappa in upper))
+    return ideal
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_lookups_fill_only_the_strong_order_ideal(monkeypatch, k):
+    oracle, _covers = all_pairs_table(k, chain_levels(k))
+    states = enumerate_reduced_states(k)
+    biggest = max(states, key=sum)
+    others = random.Random(k).sample([s for s in states if s != biggest], 3)
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    asked = []
+    for s in [biggest] + others:
+        assert strong_dim_tableaux(s, k) == oracle[bounded_to_core(s, k)]
+        asked.append(s)
+        by_core = dimensions._TABLES[k].by_core
+        assert by_core.keys() == strong_ideal(k, asked)
+        assert by_core == {core: oracle[core] for core in by_core}
+    assert dimensions._TABLES[k].max_level == sum(biggest)
+
+
+def test_chain_fills_the_ideal_of_its_partitions(monkeypatch):
+    k = 5
+    partitions = chain_partitions(k)
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    build_chain(k)
+    by_core = dimensions._TABLES[k].by_core
+    assert by_core.keys() == strong_ideal(k, partitions)
+    assert len(by_core) == 698
+    assert sum(len(cores_of_level(k, n)) for n in range(chain_levels(k) + 1)) == 1346
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_lazy_lookups_in_any_order_give_the_level_table_and_its_file(monkeypatch, k):
+    """A table filled by lookups completes to the all-pairs table and writes the same file."""
+    levels = chain_levels(k)
+    oracle, covers = all_pairs_table(k, levels)
+    lookups = chain_partitions(k)
+    random.Random(2 * k + 1).shuffle(lookups)
+    hits = 0
+
+    def counting_contains(outer, inner):
+        nonlocal hits
+        found = contains(outer, inner)
+        hits += found
+        return found
+
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    monkeypatch.setattr(dimensions, "contains", counting_contains)
+    for lam in lookups:
+        assert strong_dim_tableaux(lam, k) == oracle[bounded_to_core(lam, k)]
+    assert dimensions._TABLES[k].by_core.keys() == strong_ideal(k, lookups)
+    assert dimensions._TABLES[k].max_level == levels
+    lazy = {size: dimension_table_json(k, size) for size in (levels - 3, levels)}
+    assert dimensions.dimension_table(k, levels) == oracle
+    # Lookups and completion together test each cover once: no core is filled twice.
+    assert hits == covers
+
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    for size, text in lazy.items():
+        assert dimension_table_json(k, size) == text
+
+
+def test_memo_hit_builds_and_scans_nothing(monkeypatch):
+    k = 4
+    lookups = chain_partitions(k)
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    values = [strong_dim_tableaux(lam, k) for lam in lookups]
+
+    def forbidden(*args):
+        raise AssertionError(f"a memo hit called {args!r}")
+
+    monkeypatch.setattr(dimensions, "_DimTable", forbidden)
+    monkeypatch.setattr(dimensions, "contains", forbidden)
+    monkeypatch.setattr(dimensions, "cores_of_level", forbidden)
+    assert [strong_dim_tableaux(lam, k) for lam in lookups] == values
 
 
 def test_engine_equivalence_k5_full():
