@@ -7,10 +7,15 @@ component count.  The strong covers of a core kappa are the cores of the
 level below that it contains.  Each level below is indexed once by length
 and then by first part, so kappa scans only the cores no longer than it
 whose first part is at most kappa[0]; ``contains`` stays the exact test
-on each of them.  The table is a memo: a lookup fills its core and the
+on each of them.  Transposition maps the (k+1)-cores of a level onto
+themselves, since the level counts the cells of hook length at most k, and
+it keeps containment and the components of every skew shape; so
+d(kappa) = d(kappa^T), and each sum is stored under both cores of its
+transposed pair.  The table is a memo: a lookup fills its core and the
 covers below it not yet known, so it computes the strong-order ideal of
-the cores asked for, not whole levels.  ``dimension_table`` without a core,
-and so the disk cache, still fills every core up to a level.
+the cores asked for and its transpose, not whole levels.
+``dimension_table`` without a core, and so the disk cache, still fills
+every core up to a level.
 
 ``strong_dim_raising`` expands the defining operator product
 
@@ -56,6 +61,7 @@ from coregrowth.partitions import (
     Parts,
     bounded_to_core,
     check_k_bounded,
+    conjugate,
     core_to_bounded,
     multiplicities,
 )
@@ -144,12 +150,13 @@ class _DimTable:
     """Per-k memo of dimensions over cores, filled on demand.
 
     ``fill`` computes one core from its strong covers, recursing only into
-    covers not yet in ``by_core``, so a lookup fills the strong-order ideal
-    below its core and nothing else.  ``extend`` fills every core of the
-    levels up to ``level`` with the same ``fill``.  ``max_level`` is the
-    highest level any lookup asked for (every core in ``by_core`` lies at or
-    below it); ``complete`` is the highest level whose every core is in
-    ``by_core``.
+    covers not yet in ``by_core``, and stores the sum under the core and its
+    transpose, so each transposed pair is scanned once and a lookup fills
+    the strong-order ideal below its core, that ideal's transpose, and
+    nothing else.  ``extend`` fills every core of the levels up to
+    ``level`` with the same ``fill``.  ``max_level`` is the highest level
+    any lookup asked for (every core in ``by_core`` lies at or below it);
+    ``complete`` is the highest level whose every core is in ``by_core``.
     """
 
     def __init__(self, k: int):
@@ -177,7 +184,7 @@ class _DimTable:
         return index
 
     def fill(self, kappa: Parts, n: int) -> int:
-        """d(kappa) for the core kappa of level n >= 1, memoised with its ideal."""
+        """d(kappa) = d(kappa^T) for the core kappa of level n >= 1, memoised with its ideal."""
         dims = self.by_core
         top = _first_part(kappa)
         total = 0
@@ -190,7 +197,7 @@ class _DimTable:
                     if d is None:
                         d = self.fill(tau, n - 1)
                     total += skew_components(kappa, tau) * d
-        dims[kappa] = total
+        dims[kappa] = dims[conjugate(kappa)] = total
         return total
 
     def extend(self, level: int) -> None:

@@ -44,13 +44,19 @@ def check_k_bounded(parts, k: int) -> Parts:
 
 
 def conjugate(parts: Parts) -> Parts:
-    """Transpose of the Young diagram."""
-    if not parts:
-        return EMPTY
-    cols = [0] * parts[0]
-    for p in parts:
-        for j in range(p):
-            cols[j] += 1
+    """Transpose of the Young diagram, in O(rows + columns).
+
+    Read from the shortest row up: the parts[i-1] - parts[i] columns that
+    end in row i have length i.
+    """
+    cols: list[int] = []
+    prev = 0
+    length = len(parts)
+    for p in reversed(parts):
+        if p != prev:
+            cols += [length] * (p - prev)
+            prev = p
+        length -= 1
     return tuple(cols)
 
 

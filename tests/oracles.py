@@ -5,7 +5,18 @@ from itertools import permutations
 from math import factorial
 
 from coregrowth.dimensions import compositions
-from coregrowth.partitions import Parts, conjugate, parts_from_multiplicities
+from coregrowth.partitions import Parts, parts_from_multiplicities
+
+
+def conjugate(parts: Parts) -> Parts:
+    """Transpose of the Young diagram, by counting the cells of each column."""
+    if not parts:
+        return ()
+    cols = [0] * parts[0]
+    for p in parts:
+        for j in range(p):
+            cols[j] += 1
+    return tuple(cols)
 
 
 def is_core(parts: Parts, r: int) -> bool:

@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from coregrowth import dimensions, verify_appendix
+from coregrowth import cli, dimensions, verify_appendix
 from coregrowth.chain import build_chain
 from coregrowth.dimensions import (
     _dim_by_convolution,
@@ -32,6 +32,7 @@ from coregrowth.dimensions import (
 from coregrowth.partitions import (
     EMPTY,
     bounded_to_core,
+    conjugate,
     enumerate_reduced_states,
     k_conjugate,
 )
@@ -440,28 +441,43 @@ def chain_levels(k):
 def all_pairs_table(k, levels):
     """The tableaux table with every core of the level below as a candidate.
 
-    Returns the table and the number of strong covers it summed over.
-    Cached: callers must not change the table.
+    Uses no symmetry.  Returns the table and each core's strong covers, the
+    cores of the level below that it contains.  Cached: callers must not
+    change either.
     """
     table = {EMPTY: 1}
-    covers = 0
+    covers = {EMPTY: []}
     for n in range(1, levels + 1):
         prev = cores_of_level(k, n - 1)
         for kappa in cores_of_level(k, n):
-            total = 0
-            for tau in prev:
-                if contains(kappa, tau):
-                    covers += 1
-                    total += skew_components(kappa, tau) * table[tau]
-            table[kappa] = total
+            below = covers[kappa] = [tau for tau in prev if contains(kappa, tau)]
+            table[kappa] = sum(skew_components(kappa, tau) * table[tau] for tau in below)
     return table, covers
+
+
+def paired_cover_count(covers):
+    """The covers of one member of each transposed pair of cores.
+
+    A fill that stores d(kappa) under kappa and its transpose tests exactly
+    these covers.  Both members of a pair have equally many covers, which is
+    checked here, so it does not matter which one the fill reaches first.
+    """
+    total = 0
+    for kappa, below in covers.items():
+        partner = conjugate(kappa)
+        assert len(covers[partner]) == len(below), kappa
+        if kappa <= partner:
+            total += len(below)
+    return total
 
 
 @pytest.mark.parametrize("k, covers", [(2, 3), (3, 25), (4, 317), (5, 5205)])
 def test_indexed_scan_matches_all_pairs_oracle(monkeypatch, k, covers):
     levels = chain_levels(k)
     oracle, oracle_covers = all_pairs_table(k, levels)
-    assert oracle_covers == covers
+    assert sum(map(len, oracle_covers.values())) == covers
+    scanned = paired_cover_count(oracle_covers)
+    assert scanned == {2: 2, 3: 17, 4: 173, 5: 2729}[k]
     hits = 0
 
     def counting_contains(outer, inner):
@@ -473,7 +489,28 @@ def test_indexed_scan_matches_all_pairs_oracle(monkeypatch, k, covers):
     monkeypatch.setattr(dimensions, "_TABLES", {})
     monkeypatch.setattr(dimensions, "contains", counting_contains)
     assert dimensions.dimension_table(k, levels) == oracle
-    assert hits == covers
+    assert hits == scanned
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_transposed_cores_have_equal_dimensions(k):
+    """d(kappa) = d(kappa^T) in the all-pairs table, which uses no symmetry.
+
+    Transposition maps each level's cores onto that level's cores, the
+    covers of kappa onto the covers of kappa^T, and keeps the components of
+    every skew shape.
+    """
+    levels = chain_levels(k)
+    oracle, covers = all_pairs_table(k, levels)
+    for n in range(levels + 1):
+        level = set(cores_of_level(k, n))
+        assert set(map(conjugate, level)) == level
+    for kappa, below in covers.items():
+        partner = conjugate(kappa)
+        assert sorted(map(conjugate, below)) == sorted(covers[partner])
+        for tau in below:
+            assert skew_components(partner, conjugate(tau)) == skew_components(kappa, tau)
+        assert oracle[partner] == oracle[kappa]
 
 
 def strong_ideal(k, partitions):
@@ -522,6 +559,26 @@ def test_chain_fills_the_ideal_of_its_partitions(monkeypatch):
     assert sum(len(cores_of_level(k, n)) for n in range(chain_levels(k) + 1)) == 1346
 
 
+@pytest.mark.parametrize("k, pairs", [(3, 9), (4, 45), (5, 375)])
+def test_chain_fills_each_transposed_pair_of_its_ideal_once(monkeypatch, k, pairs):
+    filled = []
+    fill = dimensions._DimTable.fill
+
+    def counting_fill(self, kappa, n):
+        filled.append(kappa)
+        return fill(self, kappa, n)
+
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    monkeypatch.setattr(dimensions._DimTable, "fill", counting_fill)
+    build_chain(k)
+    ideal = strong_ideal(k, chain_partitions(k))
+    expected = {frozenset({kappa, conjugate(kappa)}) for kappa in ideal if kappa}
+    assert len(expected) == pairs
+    assert len(filled) == pairs
+    assert {frozenset({kappa, conjugate(kappa)}) for kappa in filled} == expected
+    assert dimensions._TABLES[k].by_core.keys() == ideal
+
+
 @pytest.mark.parametrize("k", [4, 5])
 def test_lazy_lookups_in_any_order_give_the_level_table_and_its_file(monkeypatch, k):
     """A table filled by lookups completes to the all-pairs table and writes the same file."""
@@ -545,12 +602,44 @@ def test_lazy_lookups_in_any_order_give_the_level_table_and_its_file(monkeypatch
     assert dimensions._TABLES[k].max_level == levels
     lazy = {size: dimension_table_json(k, size) for size in (levels - 3, levels)}
     assert dimensions.dimension_table(k, levels) == oracle
-    # Lookups and completion together test each cover once: no core is filled twice.
-    assert hits == covers
+    # Lookups and completion together scan each transposed pair once.
+    assert hits == paired_cover_count(covers)
 
     monkeypatch.setattr(dimensions, "_TABLES", {})
     for size, text in lazy.items():
         assert dimension_table_json(k, size) == text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chain", "--k", "3"], ["simulate", "--k", "3", "--n", "10000"]],
+    ids=["chain", "simulate"],
+)
+def test_smoke_runs_reject_a_containment_candidate(monkeypatch, tmp_path, argv):
+    """Each benchmark smoke command tests more cores than its table's covers.
+
+    perfbench's per-layer test (``perfbench/test_perfbench.py:54``) asserts
+    ``dimensions.contains.calls > hits > 0`` on these commands at k=3, so a
+    table index tight enough to leave ``contains`` nothing to reject there
+    fails this test first.  ``simulate`` keeps a margin of one rejected
+    candidate.  ROADMAP item 5, which makes call counts reported values,
+    would retire both.
+    """
+    calls = hits = 0
+
+    def counting_contains(outer, inner):
+        nonlocal calls, hits
+        found = contains(outer, inner)
+        calls += 1
+        hits += found
+        return found
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    monkeypatch.setattr(dimensions, "contains", counting_contains)
+    assert cli.main(argv) == 0
+    assert calls > hits > 0
 
 
 def test_memo_hit_builds_and_scans_nothing(monkeypatch):

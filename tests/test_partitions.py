@@ -21,8 +21,9 @@ from coregrowth.partitions import (
     reduce_rectangles,
 )
 from coregrowth.chain import Move, growth_steps
-from coregrowth.posets import enumerate_bounded
+from coregrowth.posets import cores_of_level, enumerate_bounded
 
+import oracles
 from oracles import is_core, maximal_state, rectangle
 
 
@@ -66,6 +67,17 @@ def naive_inflate(parts, k):
             for r in range(i + 1):
                 rows[r] += 1
     return tuple(rows)
+
+
+def test_conjugate_matches_the_cell_count():
+    """Every partition of size at most 12, and every 6-core up to the k=5 chain's level."""
+    small = [lam for n in range(13) for lam in enumerate_bounded(max(n, 1), n)]
+    assert len(small) == 272
+    levels = max(map(sum, enumerate_reduced_states(5))) + 1
+    cores = [kappa for n in range(levels + 1) for kappa in cores_of_level(5, n)]
+    assert len(cores) == 1346
+    for lam in small + cores:
+        assert conjugate(lam) == oracles.conjugate(lam), lam
 
 
 def test_hook_lengths_small():
