@@ -33,8 +33,6 @@ EXIT_OK = 0
 EXIT_HARD_FAIL = 1
 EXIT_USAGE = 2
 
-CACHE_ENV = "COREGROWTH_CACHE"
-
 # The k range of each subcommand.  The finite chain and the simulator need
 # k >= 2.  The commands that build the chain, and `dims --all-reduced`, which
 # tabulates all k! reduced states, stop at k = 6 unless --force is given: the
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coregrowth",
         description="Exact growth process on core partitions: dimensions, chain, TASEP, simulation.",
     )
-    parser.add_argument("--cache", help="directory for dimension-table caches", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="dimension table for a partition or all reduced states")
@@ -355,10 +352,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        with dimensions.table_cache(args.cache or os.environ.get(CACHE_ENV)) as cache:
-            code = args.func(args)
-            cache.save = code == EXIT_OK  # a failed check leaves the cache as it was
-            return code
+        return args.func(args)
     except (UsageError, OSError) as exc:  # OSError: a config or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,8 +14,7 @@ d(kappa) = d(kappa^T), and each sum is stored under both cores of its
 transposed pair.  The table is a memo: a lookup fills its core and the
 covers below it not yet known, so it computes the strong-order ideal of
 the cores asked for and its transpose, not whole levels.
-``dimension_table`` without a core, and so the disk cache, still fills
-every core up to a level.
+``dimension_table`` without a core still fills every core up to a level.
 
 ``strong_dim_raising`` expands the defining operator product
 
@@ -40,17 +39,11 @@ vanishing check evaluates the full triangle by its Jacobi-Trudi determinant
 N! det[1/(v_i + j - i)!], with rows scaled to integers and eliminated by
 Bareiss in O(t^3); the t!-term inversion expansion stays as its oracle,
 which the property suite compares it against.
-
-``table_cache`` is the one reader and writer of the tables' disk cache.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from bisect import bisect_right
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, starmap
@@ -62,15 +55,12 @@ from coregrowth.partitions import (
     bounded_to_core,
     check_k_bounded,
     conjugate,
-    core_to_bounded,
     multiplicities,
 )
-from coregrowth.posets import cores_of_level, contains, enumerate_bounded, skew_components
-from coregrowth.reporting import InvariantError, UsageError
+from coregrowth.posets import cores_of_level, contains, skew_components
+from coregrowth.reporting import InvariantError
 
 Pair = tuple[int, int]
-
-DIMTABLE_FORMAT = "coregrowth.dimtable.v1"
 
 
 def hook_dim(parts: Parts) -> int:
@@ -154,14 +144,12 @@ class _DimTable:
     transpose, so each transposed pair is scanned once and a lookup fills
     the strong-order ideal below its core, that ideal's transpose, and
     nothing else.  ``extend`` fills every core of the levels up to
-    ``level`` with the same ``fill``.  ``max_level`` is the highest level
-    any lookup asked for (every core in ``by_core`` lies at or below it);
-    ``complete`` is the highest level whose every core is in ``by_core``.
+    ``level`` with the same ``fill``.  ``complete`` is the highest level
+    whose every core is in ``by_core``.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.max_level = 0
         self.complete = 0
         self.by_core: dict[Parts, int] = {(): 1}
         self._index: dict[int, list[tuple[int, list[int], list[Parts]]]] = {}
@@ -207,7 +195,6 @@ class _DimTable:
                 if kappa not in dims:
                     self.fill(kappa, n)
         self.complete = max(self.complete, level)
-        self.max_level = max(self.max_level, level)
 
 
 def _first_part(parts: Parts) -> int:
@@ -216,35 +203,20 @@ def _first_part(parts: Parts) -> int:
 
 _TABLES: dict[int, _DimTable] = {}
 
-# The directory of the active ``table_cache``, and the levels each k's file
-# held when the table was first asked for (-1 for no file).
-_cache_dir: str | None = None
-_file_levels: dict[int, int] = {}
-
-
-def _table(k: int) -> _DimTable:
-    """k's table, created only when k has none."""
-    table = _TABLES.get(k)
-    if table is None:
-        table = _TABLES[k] = _DimTable(k)
-    return table
-
 
 def dimension_table(k: int, max_size: int, core: Parts | None = None) -> dict[Parts, int]:
     """Dimension of every (k+1)-core of bounded size up to ``max_size``.
 
     Given ``core``, a core of bounded size ``max_size``, the table holds
     instead at least ``core`` and every core below it in the strong order.
-    Inside ``table_cache`` the first call for a k merges that k's cache file.
     """
-    if _cache_dir is not None and k not in _file_levels:
-        _file_levels[k] = _load_cache_file(k)
-    table = _table(k)
+    table = _TABLES.get(k)
+    if table is None:
+        table = _TABLES[k] = _DimTable(k)
     if core is None:
         table.extend(max_size)
     elif core not in table.by_core:
         table.fill(core, max_size)
-        table.max_level = max(table.max_level, max_size)
     return table.by_core
 
 
@@ -253,140 +225,6 @@ def strong_dim_tableaux(parts: Parts, k: int) -> int:
     parts = check_k_bounded(parts, k)
     core = bounded_to_core(parts, k)
     return dimension_table(k, sum(parts), core)[core]
-
-
-def dimension_table_json(k: int, max_size: int) -> str:
-    table = dimension_table(k, max_size)
-    values = {}
-    for core, d in table.items():
-        parts = core_to_bounded(core, k)
-        if sum(parts) <= max_size:
-            values[",".join(map(str, parts))] = str(d)
-    return json.dumps(
-        {"format": DIMTABLE_FORMAT, "k": k, "max_size": max_size, "values": values},
-        sort_keys=True,
-    )
-
-
-def load_dimension_table(text: str, k: int) -> int:
-    """Merge a serialized table for ``k`` into the in-memory cache.
-
-    Returns the ``max_size`` the text holds.  Raises ValueError, before
-    merging anything, when the text is not JSON, has another format, is for
-    another k, has a non-integer ``k`` or ``max_size``, holds malformed
-    entries or non-positive dimensions, or lacks a partition of a size up to
-    the ``max_size`` it claims.
-    """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON ({exc})") from exc
-    fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt != DIMTABLE_FORMAT:
-        raise ValueError(f"unsupported dimension table format: {fmt!r}")
-    if type(obj.get("k")) is not int or obj["k"] != k:
-        raise ValueError(f"table is for k={obj.get('k')!r}, expected k={k}")
-    max_size = obj.get("max_size")
-    if type(max_size) is not int:
-        raise ValueError(f"max_size {max_size!r} is not an integer")
-    try:
-        values = {
-            tuple(int(x) for x in key.split(",")) if key else (): _dimension(val)
-            for key, val in obj["values"].items()
-        }
-        entries = {bounded_to_core(parts, k): d for parts, d in values.items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed dimension table: {exc!r}") from exc
-    for n in range(max_size + 1):
-        missing = next((b for b in enumerate_bounded(k, n) if b not in values), None)
-        if missing is not None:
-            raise ValueError(f"table claims sizes up to {max_size} but lacks {missing!r}")
-    table = _table(k)
-    table.by_core.update(entries)
-    table.complete = max(table.complete, max_size)
-    table.max_level = max(table.max_level, max_size)
-    return max_size
-
-
-def _dimension(text) -> int:
-    """A dimension as table files hold it: the decimal string of a positive integer."""
-    if type(text) is not str or not (text.isascii() and text.isdigit()) or text[0] == "0":
-        raise ValueError(f"dimension {text!r} is not a string of a positive integer")
-    return int(text)
-
-
-def _cache_path(k: int) -> str:
-    return os.path.join(_cache_dir, f"dimtable_k{k}.json")
-
-
-def _load_cache_file(k: int) -> int:
-    """Merge k's cache file, if there is one; the levels it held, or -1."""
-    path = _cache_path(k)
-    if not os.path.exists(path):
-        return -1
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return load_dimension_table(fh.read(), k)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cache file {path}: {exc}; delete it to rebuild") from exc
-
-
-def _save_cache_file(k: int) -> None:
-    """Write k's table through a temporary file, so readers never see half of it.
-
-    ``mkstemp`` creates the file 0600; it is given the mode that the process
-    umask gives any new file, so a shared cache directory stays readable.
-    """
-    path = _cache_path(k)
-    text = dimension_table_json(k, _TABLES[k].max_level)
-    try:
-        os.makedirs(_cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=_cache_dir, prefix=".dimtable_", suffix=".tmp")
-        try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise UsageError(f"cache file {path}: {exc}") from exc
-
-
-class CacheRun:
-    """The handle ``table_cache`` yields; set ``save`` false to skip the write-back."""
-
-    save = True
-
-
-@contextmanager
-def table_cache(directory: str | None):
-    """Keep each k's dimension table in ``directory/dimtable_k{k}.json``.
-
-    While active, the first ``dimension_table`` call for a k merges that k's
-    file; a file that fails validation raises ``UsageError``.  On a normal
-    exit with the yielded handle's ``save`` still true, each table that now
-    holds more levels than its file is written back; after an exception
-    nothing is written.  ``None`` or ``""`` turns the cache off.
-    """
-    global _cache_dir
-    run = CacheRun()
-    if not directory:
-        yield run
-        return
-    _cache_dir = directory
-    try:
-        yield run
-        if run.save:
-            for k, levels in _file_levels.items():
-                if _TABLES[k].max_level > levels:
-                    _save_cache_file(k)
-    finally:
-        _cache_dir = None
-        _file_levels.clear()
 
 
 # --- triangle operator calculus ------------------------------------------

@@ -24,7 +24,7 @@ class InvariantError(AssertionError):
 
 
 class UsageError(ValueError):
-    """Input the program refuses: a flag, config, word or cache file.
+    """Input the program refuses: a flag, config, partition or word.
 
     The CLI prints it as one ``error:`` line and exits with code 2.
     """

@@ -3,7 +3,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -149,23 +148,6 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "guarded range" in capsys.readouterr().err
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-    assert (cache / "dimtable_k3.json").exists()
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-
-
-def test_cache_file_takes_the_umask_mode(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    old = os.umask(0o022)
-    try:
-        assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-    finally:
-        os.umask(old)
-    assert (cache / "dimtable_k3.json").stat().st_mode & 0o777 == 0o644
-
-
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("bogus-command")
@@ -186,143 +168,43 @@ def test_simulate_flags_are_validated(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        (lambda good: good[: len(good) // 2], "not valid JSON"),
-        (lambda good: good.replace("coregrowth.dimtable.v1", "other.v9"), "format"),
-        (lambda good: good.replace('"k": 3', '"k": 4'), "k=4"),
-        (lambda good: '{"format": "coregrowth.dimtable.v1", "k": 3}', "max_size"),
-        (lambda good: good.replace('"2,1": "2", ', ""), "lacks (2, 1)"),
-        (lambda good: json.dumps({**json.loads(good), "k": 3.0}), "k=3.0"),
-        (lambda good: json.dumps({**json.loads(good), "max_size": True}), "max_size True"),
-        (lambda good: json.dumps({**json.loads(good), "max_size": "3"}), "max_size '3'"),
-        (lambda good: good.replace('"1": "1"', '"1": "-7"'), "'-7' is not a string of a positive"),
-        (lambda good: good.replace('"1": "1"', '"1": "0"'), "'0' is not a string of a positive"),
-        (lambda good: good.replace('"1": "1"', '"1": 1'), "1 is not a string of a positive"),
-    ],
-    ids=[
-        "truncated",
-        "wrong-format",
-        "wrong-k",
-        "missing-keys",
-        "missing-value",
-        "float-k",
-        "bool-max-size",
-        "string-max-size",
-        "negative-dimension",
-        "zero-dimension",
-        "unquoted-dimension",
-    ],
-)
-def test_bad_cache_file_is_a_usage_error(tmp_path, capsys, content, message):
-    cache = tmp_path / "cache"
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-    path = cache / "dimtable_k3.json"
-    path.write_text(content(path.read_text()))
-    capsys.readouterr()
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err and message in err
-
-
-def test_cache_file_is_replaced_whole(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-    assert run_cli("--cache", str(cache), "chain", "--k", "3") == 0
-    assert [p.name for p in cache.iterdir()] == ["dimtable_k3.json"]
-    assert json.loads((cache / "dimtable_k3.json").read_text())["max_size"] >= 5
-
-
-def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
-    not_a_dir = tmp_path / "cache"
-    not_a_dir.write_text("")
-    assert run_cli("--cache", str(not_a_dir), "dims", "--k", "3", "2,1") == 2
-    assert capsys.readouterr().err.startswith("error: cache file")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["dims", "--k", "3", "--all-reduced"],
-        ["chain", "--k", "3"],
-        ["verify", "--k", "3", "--suite", "conjectures"],
-        ["simulate", "--k", "3", "--n", "1000", "--seed", "4"],
-    ],
-    ids=" ".join,
-)
-def test_warm_cache_computes_no_table_level(tmp_path, capsys, monkeypatch, argv):
-    """Every command that builds a dimension table reads and writes the cache."""
-    cache = str(tmp_path / "cache")
-    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
-    assert run_cli("--cache", cache, *argv) == 0
-    cold = capsys.readouterr().out
-    assert (tmp_path / "cache" / "dimtable_k3.json").exists()
-
-    def no_levels(k, n):
-        raise AssertionError(f"level {n} of the k={k} table was computed")
-
-    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
-    monkeypatch.setattr(cli.dimensions, "cores_of_level", no_levels)
-    assert run_cli("--cache", cache, *argv) == 0
-    warm = capsys.readouterr().out
-
-    def untimed(out):
-        return re.sub(r"\d+\.\d+s", "", out)
-
-    assert untimed(warm) == untimed(cold)
-
-
-def test_unchanged_table_is_not_rewritten(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-    before = (cache / "dimtable_k3.json").stat()
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 0
-    after = (cache / "dimtable_k3.json").stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-
-
-def test_failed_check_writes_no_cache(tmp_path, capsys, monkeypatch):
-    """A run that exits 1 on a failed check leaves the cache as it was."""
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
+def test_failed_check_exits_1(capsys, monkeypatch):
+    """A broken sandwich inequality is a failed check: exit 1 and a VIOLATED row."""
     monkeypatch.setattr(cli.dimensions, "hook_dim", lambda lam: -1)
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 1
+    assert run_cli("dims", "--k", "3", "2,1") == 1
     assert "VIOLATED" in capsys.readouterr().out
-    assert not cache.exists()
 
 
-def test_equality_violation_fails_after_every_row(tmp_path, capsys, monkeypatch):
-    """A wrong d(2,1) in a cache file breaks the n <= k equality: exit 1, all rows printed."""
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "--all-reduced") == 0
-    path = cache / "dimtable_k3.json"
-    text = path.read_text()
-    assert '"2,1": "2"' in text
-    path.write_text(text.replace('"2,1": "2"', '"2,1": "3"'))
-    capsys.readouterr()
-    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "2,1") == 1
+def test_equality_violation_fails_after_every_row(capsys, monkeypatch):
+    """A wrong d(2,1) breaks the n <= k equality: exit 1, all rows printed."""
+    strong_dim = cli.dimensions.strong_dim_tableaux
+
+    def wrong_at_21(lam, k):
+        return 3 if lam == (2, 1) else strong_dim(lam, k)
+
+    monkeypatch.setattr(cli.dimensions, "strong_dim_tableaux", wrong_at_21)
+    assert run_cli("dims", "--k", "3", "2,1") == 1
     assert "(equality VIOLATED)" in capsys.readouterr().out
-    monkeypatch.setattr(cli.dimensions, "_TABLES", {})
-    assert run_cli("--cache", str(cache), "dims", "--k", "3", "--all-reduced") == 1
+    assert run_cli("dims", "--k", "3", "--all-reduced") == 1
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert len(rows) == 6
     assert [row.split()[0] for row in rows if "VIOLATED" in row] == ["(2,1)"]
     assert rows[-1].split()[0] == "(2,1,1)"
 
 
-def test_cache_is_off_outside_main(tmp_path, capsys):
-    """A failed run writes nothing, and no cache outlives its ``main`` call."""
+def test_there_is_no_dimension_table_cache(tmp_path, capsys, monkeypatch):
+    """``--cache`` is not a flag, and ``COREGROWTH_CACHE`` is not read."""
     cache = tmp_path / "cache"
-    out = str(tmp_path / "no_such_dir" / "pi.csv")
-    assert run_cli("--cache", str(cache), "chain", "--k", "2", "--csv", out) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--cache", str(cache), "dims", "--k", "3", "2,1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
     assert not cache.exists()
-    assert run_cli("--cache", str(cache), "dims", "--k", "2", "1") == 0
-    assert [p.name for p in cache.iterdir()] == ["dimtable_k2.json"]
-    cli.dimensions.dimension_table(4, 2)
-    assert [p.name for p in cache.iterdir()] == ["dimtable_k2.json"]
+    cache.write_text("not a table")
+    monkeypatch.setenv("COREGROWTH_CACHE", str(cache))
+    assert run_cli("chain", "--k", "3") == 0
+    assert cache.read_text() == "not a table"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
@@ -429,11 +311,8 @@ def cli_input(draw):
             argv.extend([flag] if value is None else [flag, pick(value)])
 
     k = pick(K)
-    argv = []
-    if draw(st.integers(0, 4)) == 0:
-        argv += ["--cache", pick((st.just("cache"), st.just("config.json")))]
     command = draw(st.sampled_from(["dims", "chain", "verify", "simulate", "tasep"]))
-    argv += [command, "--k", str(k) if sane else pick(ARG_K)]
+    argv = [command, "--k", str(k) if sane else pick(ARG_K)]
     config = {"k": k, "n": pick(N)}
     if command == "dims":
         if draw(st.booleans()):

@@ -12,11 +12,9 @@ from coregrowth.chain import build_chain
 from coregrowth.dimensions import (
     _dim_by_convolution,
     composition_sum,
-    dimension_table_json,
     evaluate_displacements,
     hook_dim,
     inversion_displacements,
-    load_dimension_table,
     long_column_vanishes,
     operator_windows,
     raising_apply,
@@ -419,14 +417,6 @@ def test_long_column_vanishing():
         long_column_vanishes((2, 2), 3)
 
 
-def test_dimension_table_json_round_trip():
-    text = dimension_table_json(3, 6)
-    load_dimension_table(text, 3)
-    assert '"2,1,1": "6"' in text
-    with pytest.raises(ValueError, match="expected k=4"):
-        load_dimension_table(text, 4)
-
-
 def chain_partitions(k):
     """The k! states and their weak covers: the partitions ``build_chain`` reads."""
     return [lam for s in enumerate_reduced_states(k) for lam in [s] + weak_covers_bounded(s, k)]
@@ -545,7 +535,6 @@ def test_lookups_fill_only_the_strong_order_ideal(monkeypatch, k):
         by_core = dimensions._TABLES[k].by_core
         assert by_core.keys() == strong_ideal(k, asked)
         assert by_core == {core: oracle[core] for core in by_core}
-    assert dimensions._TABLES[k].max_level == sum(biggest)
 
 
 def test_chain_fills_the_ideal_of_its_partitions(monkeypatch):
@@ -580,8 +569,8 @@ def test_chain_fills_each_transposed_pair_of_its_ideal_once(monkeypatch, k, pair
 
 
 @pytest.mark.parametrize("k", [4, 5])
-def test_lazy_lookups_in_any_order_give_the_level_table_and_its_file(monkeypatch, k):
-    """A table filled by lookups completes to the all-pairs table and writes the same file."""
+def test_lazy_lookups_in_any_order_complete_to_the_level_table(monkeypatch, k):
+    """A table filled by lookups completes to the all-pairs table."""
     levels = chain_levels(k)
     oracle, covers = all_pairs_table(k, levels)
     lookups = chain_partitions(k)
@@ -599,15 +588,9 @@ def test_lazy_lookups_in_any_order_give_the_level_table_and_its_file(monkeypatch
     for lam in lookups:
         assert strong_dim_tableaux(lam, k) == oracle[bounded_to_core(lam, k)]
     assert dimensions._TABLES[k].by_core.keys() == strong_ideal(k, lookups)
-    assert dimensions._TABLES[k].max_level == levels
-    lazy = {size: dimension_table_json(k, size) for size in (levels - 3, levels)}
     assert dimensions.dimension_table(k, levels) == oracle
     # Lookups and completion together scan each transposed pair once.
     assert hits == paired_cover_count(covers)
-
-    monkeypatch.setattr(dimensions, "_TABLES", {})
-    for size, text in lazy.items():
-        assert dimension_table_json(k, size) == text
 
 
 @pytest.mark.parametrize(
@@ -635,7 +618,6 @@ def test_smoke_runs_reject_a_containment_candidate(monkeypatch, tmp_path, argv):
         return found
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.setattr(dimensions, "_TABLES", {})
     monkeypatch.setattr(dimensions, "contains", counting_contains)
     assert cli.main(argv) == 0
