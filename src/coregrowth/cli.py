@@ -350,7 +350,15 @@ def main(argv=None) -> int:
     # A multi-threaded BLAS makes the small float solve in chain.stationary
     # tens of times slower on a few cores; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # argparse sets an unknown option before the command aside and reads the
+    # word after it as the command: name the option instead.
+    for arg in argv:
+        if not arg.startswith("-") or arg == "-h" or "--help".startswith(arg):
+            break
+        parser.error(f"unrecognized arguments: {arg}")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, OSError) as exc:  # OSError: a config or output path

@@ -2,19 +2,20 @@
 
 The k-rectangle factorization projects each growth step of the infinite
 chain onto a move of the finite chain (``verify_projection`` certifies this
-at small sizes), so a trajectory is simulated in O(1) per step.  The
-labelled chain, a reduced state together with the classes of its k+1
-labels, is the TASEP on all (k+1)! label arrangements; it is certified to
-be the k! reduced states times the k+1 rotations of the classes, with each
-reduced move stepping the rotation and jumping over a label independently
-of the rotation.  So the kernel walks the k!-state reduced chain alone.
-Each draw becomes an exact symbol, its rank among the thresholds of all
-states, and m consecutive symbols one composed symbol, so one table lookup
-takes m steps; per block the loop only draws, walks and counts moves.  The
-rectangle ledger, the state occupancy, the per-residue bead frontiers of
-the growing core and the final rotation are linear in those counts and are
-derived from them afterwards.  The core boundary at step n is reconstructed
-from the frontiers without ever materializing the million-row partition.
+at small sizes), so a trajectory is simulated in O(1) per step.  The k+1
+labels of the bead classes move as a TASEP on the ring: each move jumps one
+label over its neighbour, and a reduced state's word (``tasep.alpha_inv``)
+fixes where every label sits, up to a rotation of the ring.
+``_sampling_tables`` certifies every move against the words of its two
+states and records the rotation it makes, so the kernel walks the k!-state
+reduced chain alone.  Each draw becomes an exact symbol, its rank among the
+thresholds of all states, and m consecutive symbols one composed symbol, so
+one table lookup takes m steps; per block the loop only draws, walks and
+counts moves.  The rectangle ledger, the state occupancy, the per-residue
+bead frontiers of the growing core and the final rotation are linear in
+those counts and are derived from them afterwards.  The core boundary at
+step n is reconstructed from the frontiers without ever materializing the
+million-row partition.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from coregrowth.partitions import (
 )
 from coregrowth.posets import enumerate_bounded
 from coregrowth.reporting import THEOREM, InvariantError, Report, UsageError
+from coregrowth.tasep import alpha_inv, value_positions
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: the CLI loads this module eagerly
@@ -118,126 +120,60 @@ class SimResult:
 
 
 class SamplingTable(NamedTuple):
-    """The labelled chain: a reduced state together with its label arrangement.
+    """The reduced chain with the TASEP word of each state, one row per state.
 
-    Labelled state ``a`` is reduced state ``reduced[a]`` with label i+1 at
-    class ``arrangements[a][i]``.  Its moves are entries ``base[a]`` onwards
-    of ``nxt`` (the labelled state after the move) and ``moves`` (target,
-    removed rectangle or 0, grown column, jumped-over label); a uniform draw u
-    picks entry ``base[a] + bisect_right(cums[a], u)``.
-
-    Labelled state ``a`` is also the pair (``reduced[a]``, ``rotation[a]``):
-    its arrangement is that of ``canonical[reduced[a]]``, the first labelled
-    state reached with that reduced state, with every class shifted by the
-    rotation (mod k+1).
+    State s's word ``tasep.alpha_inv(s, k)`` puts label i+1 at ring position
+    ``arrangements[s][i]``.  Its moves, in ``mc.moves`` order, are
+    ``moves[s]`` (target, removed rectangle or 0, grown column, jumped-over
+    label); a uniform draw u picks move ``bisect_right(cums[s], u)``.  Move i
+    turns the ring by ``turns[s][i]``: after the jump the labels sit at the
+    target's word arrangement with every position shifted by it (mod k+1).
     """
 
     cums: list[list[float]]
-    base: list[int]
-    nxt: list[int]
-    moves: list[tuple[int, int, int, int]]
-    reduced: list[int]
+    moves: list[list[tuple[int, int, int, int]]]
+    turns: list[list[int]]
     arrangements: list[tuple[int, ...]]
-    canonical: list[int]
-    rotation: list[int]
 
 
 def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
-    """Close the labelled chain from (state 0, identity arrangement).
+    """Read each move of the reduced chain off the words of its two states.
 
-    A move grows ``column``: that label jumps from its class c to
-    sigma = c - 1 (mod k+1), swapping with the label ``other`` found there.
-    Each arrangement must carry one reduced state, so the closure has at most
-    (k+1)! states; an arrangement reached with two reduced states raises
-    ``InvariantError``.  The real chain reaches all (k+1)! arrangements, and
-    ``_rotations`` certifies that they are the k! reduced states times the
-    k+1 rotations.
+    A move grows ``column``: that label jumps from its position c to
+    c - 1 (mod k+1), swapping with the label found there.  The arrangement
+    this leaves must be the target's word arrangement turned by one amount,
+    the move's turn; otherwise the chain is not the TASEP on its words and
+    ``InvariantError`` is raised.
     """
     k = mc.k
     r = k + 1
-    cums = []
-    targets = []
-    for moves in mc.moves:
-        acc = 0.0
-        row = []
+    positions = [value_positions(alpha_inv(s, k)) for s in mc.states]
+    arrangements = [tuple(pos[label] - 1 for label in range(1, r + 1)) for pos in positions]
+    table = SamplingTable([], [], [], arrangements)
+    for s, (moves, label_class) in enumerate(zip(mc.moves, arrangements)):
+        cums = list(accumulate(float(m.rate) for m in moves))
+        row, turns = [], []
         for m in moves:
-            acc += float(m.rate)
-            row.append(acc)
-        row[-1] = 1.0 + 1e-12  # guard the top bucket
-        cums.append(row)
-        targets.append([factorial_index(m.target, k) for m in moves])
-
-    table = SamplingTable([], [], [], [], [0], [tuple(range(r))], [], [])
-    index = {table.arrangements[0]: 0}
-    a = 0
-    while a < len(table.reduced):
-        s, label_class = table.reduced[a], table.arrangements[a]
-        table.cums.append(cums[s])
-        table.base.append(len(table.nxt))
-        for m, target in zip(mc.moves[s], targets[s]):
+            target = factorial_index(m.target, k)
             c = label_class[m.column - 1]
             sigma = (c - 1) % r
             other = label_class.index(sigma) + 1
             moved = list(label_class)
             moved[m.column - 1], moved[other - 1] = sigma, c
-            moved = tuple(moved)
-            b = index.setdefault(moved, len(table.reduced))
-            if b == len(table.reduced):
-                table.reduced.append(target)
-                table.arrangements.append(moved)
-            elif table.reduced[b] != target:
+            reached = arrangements[target]
+            turn = (moved[0] - reached[0]) % r
+            if any((c1 - c0 - turn) % r for c1, c0 in zip(moved, reached)):
                 raise InvariantError(
-                    f"reduced state is not a function of the label arrangement: "
-                    f"{moved} carries states {table.reduced[b]} and {target}"
+                    f"move of label {m.column} from state {s} is not a TASEP jump: "
+                    f"it leaves {tuple(moved)}, no rotation of target {target}'s {reached}"
                 )
-            table.nxt.append(b)
-            table.moves.append((target, m.removed or 0, m.column, other))
-        a += 1
-    canonical, rotation = _rotations(table, len(mc.states))
-    return table._replace(canonical=canonical, rotation=rotation)
-
-
-def _rotations(table: SamplingTable, states: int) -> tuple[list[int], list[int]]:
-    """Certify that the labelled chain is the reduced chain times the rotations.
-
-    Returns the canonical labelled state of each reduced state (its first
-    reached) and the rotation of each labelled state.  Every arrangement must
-    be its canonical arrangement with all classes shifted by one amount, each
-    of the ``states`` reduced states must carry all k+1 shifts, and each
-    reduced move must step the rotation by the same amount and jump over the
-    same label from every rotation; otherwise ``InvariantError``.  Then the
-    reduced walk's move counts fix the labelled walk's outputs.
-    """
-    r = len(table.arrangements[0])
-    canonical = [-1] * states
-    carried = [0] * states
-    rotation = []
-    for a, (s, arr) in enumerate(zip(table.reduced, table.arrangements)):
-        if canonical[s] < 0:
-            canonical[s] = a
-        first = table.arrangements[canonical[s]]
-        turn = (arr[0] - first[0]) % r
-        if any((c - c0 - turn) % r for c, c0 in zip(arr, first)):
-            raise InvariantError(
-                f"arrangement {arr} of reduced state {s} is not a rotation of {first}"
-            )
-        rotation.append(turn)
-        carried[s] += 1
-    for s, count in enumerate(carried):
-        if count != r:
-            raise InvariantError(f"reduced state {s} carries {count} arrangements, not {r}")
-    for a, s in enumerate(table.reduced):
-        base, base0 = table.base[a], table.base[canonical[s]]
-        for i in range(len(table.cums[a])):
-            j, j0 = base + i, base0 + i
-            step = (rotation[table.nxt[j]] - rotation[a]) % r
-            if step != rotation[table.nxt[j0]] or table.moves[j][3] != table.moves[j0][3]:
-                raise InvariantError(
-                    f"move {i} of reduced state {s} depends on the rotation: from rotation "
-                    f"{rotation[a]} it steps by {step} over label {table.moves[j][3]}, from 0 "
-                    f"by {rotation[table.nxt[j0]]} over label {table.moves[j0][3]}"
-                )
-    return canonical, rotation
+            row.append((target, m.removed or 0, m.column, other))
+            turns.append(turn)
+        cums[-1] = 1.0 + 1e-12  # guard the top bucket
+        table.cums.append(cums)
+        table.moves.append(row)
+        table.turns.append(turns)
+    return table
 
 
 # The most entries (reduced states x composed symbols) of the composed step
@@ -252,8 +188,8 @@ class WalkTables(NamedTuple):
 
     Reduced moves are numbered by state, then in ``mc.moves`` order; move j
     is ``moves[j]`` (target, removed rectangle or 0, grown column,
-    jumped-over label) and steps the rotation by ``turns[j]``.  State s's
-    canonical arrangement is ``arrangements[s]``.
+    jumped-over label) and turns the ring by ``turns[j]``.  State s's word
+    arrangement is ``arrangements[s]``.
 
     A draw u is symbol g, the number of ``breaks`` at or below u: the
     sorted thresholds of all reduced states, followed by ``depth``
@@ -281,18 +217,13 @@ def _walk_tables(table: SamplingTable) -> WalkTables:
     """The step tables of the reduced chain, in the narrowest integer dtypes."""
     import numpy as np
 
-    cums = [table.cums[a] for a in table.canonical]
-    # reduced move j is labelled move labelled[j], from its state's canonical arrangement
-    labelled = [
-        table.base[a] + i for a, row in zip(table.canonical, cums) for i in range(len(row))
-    ]
-    moves = [table.moves[j] for j in labelled]
-    states = len(cums)
-    breaks = np.array(sorted({c for row in cums for c in row}))
+    moves = [move for row in table.moves for move in row]
+    states = len(table.cums)
+    breaks = np.array(sorted({c for row in table.cums for c in row}))
     symbols = len(breaks)
     step_move = np.empty((states, symbols), np.min_scalar_type(len(moves) - 1))
     first = 0
-    for s, row in enumerate(cums):
+    for s, row in enumerate(table.cums):
         step_move[s] = np.searchsorted(row, breaks) + first
         first += len(row)
     targets = np.array([move[0] for move in moves], np.min_scalar_type(states - 1))
@@ -315,8 +246,8 @@ def _walk_tables(table: SamplingTable) -> WalkTables:
     depth = int(np.diff(below).max())
     return WalkTables(
         moves=moves,
-        turns=[table.rotation[table.nxt[j]] for j in labelled],
-        arrangements=[table.arrangements[a] for a in table.canonical],
+        turns=[turn for row in table.turns for turn in row],
+        arrangements=table.arrangements,
         breaks=np.concatenate((breaks, np.full(depth, np.inf))),
         below=below[:-1].astype(np.min_scalar_type(symbols + depth)),
         depth=depth,
@@ -354,13 +285,13 @@ BLOCK = 8192
 def run_simulation(config: SimConfig) -> SimResult:
     """Walk the reduced chain in composed steps, counting how often each move fires.
 
-    By ``_rotations`` a reduced move fires the same labelled move from every
-    rotation, so every output except the current state is linear in the
-    reduced move counts: occupancy, ledger and by-label frontiers, and the
-    final rotation, the counts times each move's rotation step.  The loop
-    only draws, walks and counts; the outputs are derived from the counts
-    afterwards (the ledger also at each checkpoint, where a block always
-    ends).
+    A reduced move jumps the same labels and turns the ring by the same
+    amount from every rotation of its state's word, so every output except
+    the current state is linear in the move counts: occupancy, ledger and
+    by-label frontiers, and the final rotation, the counts times each move's
+    turn.  The loop only draws, walks and counts; the outputs are derived
+    from the counts afterwards (the ledger also at each checkpoint, where a
+    block always ends).
     """
     import numpy as np
 
@@ -625,6 +556,26 @@ def overlay_svg(result: SimResult, rho, deviation: tuple[float, float]) -> str:
     )
 
 
+def report_json(result: SimResult, rho, deviation: tuple[float, float]) -> str:
+    sup_deviation, mean_sq_deviation = deviation
+    payload = {
+        "k": result.config.k,
+        "n": result.steps,
+        "seed": result.config.seed,
+        "final_state": list(result.final_state),
+        "ledger": list(result.ledger),
+        "rho_hat": [float(x) for x in result.rho_hat],
+        "rho": [str(r) for r in rho],
+        "sup_deviation": sup_deviation,
+        "mean_sq_deviation": mean_sq_deviation,
+    }
+    if result.config.checkpoint_every:
+        payload["checkpoints"] = [
+            [step, state, list(ledger)] for step, state, ledger in result.checkpoints
+        ]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_outputs(
     result: SimResult,
     pi: chain_mod.StationaryDistribution,
@@ -632,39 +583,19 @@ def write_outputs(
     deviation: tuple[float, float],
 ) -> list[str]:
     """Write the configured outputs; ``deviation`` is ``compare_to_limit``'s for ``rho``."""
+    renderers = (
+        ("boundary_csv", lambda: boundary_csv(result.boundary)),
+        ("rho_csv", lambda: rho_csv(result)),
+        ("occupancy_csv", lambda: occupancy_csv(result, pi)),
+        ("svg", lambda: overlay_svg(result, rho, deviation)),
+        ("report_json", lambda: report_json(result, rho, deviation)),
+    )
     written = []
-    outs = result.config.outputs
-    if "boundary_csv" in outs:
-        _write(outs["boundary_csv"], boundary_csv(result.boundary))
-        written.append(outs["boundary_csv"])
-    if "rho_csv" in outs:
-        _write(outs["rho_csv"], rho_csv(result))
-        written.append(outs["rho_csv"])
-    if "occupancy_csv" in outs:
-        _write(outs["occupancy_csv"], occupancy_csv(result, pi))
-        written.append(outs["occupancy_csv"])
-    if "svg" in outs:
-        _write(outs["svg"], overlay_svg(result, rho, deviation))
-        written.append(outs["svg"])
-    if "report_json" in outs:
-        sup_deviation, mean_sq_deviation = deviation
-        payload = {
-            "k": result.config.k,
-            "n": result.steps,
-            "seed": result.config.seed,
-            "final_state": list(result.final_state),
-            "ledger": list(result.ledger),
-            "rho_hat": [float(x) for x in result.rho_hat],
-            "rho": [str(r) for r in rho],
-            "sup_deviation": sup_deviation,
-            "mean_sq_deviation": mean_sq_deviation,
-        }
-        if result.config.checkpoint_every:
-            payload["checkpoints"] = [
-                [step, state, list(ledger)] for step, state, ledger in result.checkpoints
-            ]
-        _write(outs["report_json"], json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written.append(outs["report_json"])
+    for key, render in renderers:
+        if key in result.config.outputs:
+            path = result.config.outputs[key]
+            _write(path, render())
+            written.append(path)
     return written
 
 

@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from coregrowth.dimensions import compositions
-from coregrowth.partitions import Parts, parts_from_multiplicities
+from coregrowth.partitions import Parts, factorial_index, parts_from_multiplicities
 
 
 def conjugate(parts: Parts) -> Parts:
@@ -113,3 +114,59 @@ def triangle_expand_inversions(t: int) -> tuple[tuple[frozenset[tuple[int, int]]
         inv = inversion_set(perm)
         terms.append((inv, -1 if len(inv) % 2 else 1))
     return tuple(terms)
+
+
+class LabelledChain(NamedTuple):
+    """The reduced chain together with the bead class of each of the k+1 labels.
+
+    Labelled state a is reduced state ``reduced[a]`` with label i+1 at class
+    ``arrangements[a][i]``.  Its moves, in ``mc.moves`` order, are entries
+    ``base[a]`` onwards of ``nxt`` (the labelled state after the move) and
+    ``other`` (the jumped-over label).  ``canonical[s]`` is the first
+    labelled state reached with reduced state s, and ``rotation[a]`` is how
+    far the first label's class of a lies past that of its canonical state.
+    """
+
+    reduced: list[int]
+    arrangements: list[tuple[int, ...]]
+    base: list[int]
+    nxt: list[int]
+    other: list[int]
+    canonical: list[int]
+    rotation: list[int]
+
+
+def labelled_chain(mc) -> LabelledChain:
+    """Close the labelled chain from (state 0, identity arrangement).
+
+    A move grows ``column``: that label jumps from its class c to
+    c - 1 (mod k+1), swapping with the label found there.  An arrangement
+    reached with two reduced states raises ValueError.
+    """
+    r = mc.k + 1
+    chain = LabelledChain([0], [tuple(range(r))], [], [], [], [-1] * len(mc.states), [])
+    index = {chain.arrangements[0]: 0}
+    a = 0
+    while a < len(chain.reduced):
+        s, label_class = chain.reduced[a], chain.arrangements[a]
+        if chain.canonical[s] < 0:
+            chain.canonical[s] = a
+        chain.rotation.append((label_class[0] - chain.arrangements[chain.canonical[s]][0]) % r)
+        chain.base.append(len(chain.nxt))
+        for m in mc.moves[s]:
+            target = factorial_index(m.target, mc.k)
+            c = label_class[m.column - 1]
+            sigma = (c - 1) % r
+            other = label_class.index(sigma) + 1
+            moved = list(label_class)
+            moved[m.column - 1], moved[other - 1] = sigma, c
+            b = index.setdefault(tuple(moved), len(chain.reduced))
+            if b == len(chain.reduced):
+                chain.reduced.append(target)
+                chain.arrangements.append(tuple(moved))
+            elif chain.reduced[b] != target:
+                raise ValueError(f"{tuple(moved)} carries states {chain.reduced[b]} and {target}")
+            chain.nxt.append(b)
+            chain.other.append(other)
+        a += 1
+    return chain

@@ -207,6 +207,19 @@ def test_there_is_no_dimension_table_cache(tmp_path, capsys, monkeypatch):
     assert cache.read_text() == "not a table"
 
 
+@pytest.mark.parametrize(
+    "before, named",
+    [(["--cache", "DIR"], "--cache"), (["--cache=DIR"], "--cache=DIR"), (["--bogus"], "--bogus")],
+)
+def test_unknown_option_before_the_command_is_named(before, named, capsys):
+    """argparse would read the word after an unknown leading option as the command."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*before, "dims", "--k", "3", "2,1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"coregrowth: error: unrecognized arguments: {named}"
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
 def test_main_limits_blas_threads_unless_set(preset, expected):
     script = (

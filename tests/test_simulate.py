@@ -40,6 +40,7 @@ from coregrowth.simulate import (
     verify_projection,
     write_outputs,
 )
+from oracles import labelled_chain
 
 
 def reconstruct_core(reduced, ledger, k, max_parts=1_000_000):
@@ -150,16 +151,16 @@ def test_count_kernel_matches_step_by_step_reference(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_labelled_chain_closes_on_all_label_arrangements(k):
-    table = simulate._sampling_tables(build_chain(k))
-    assert len(table.reduced) == len(set(table.arrangements)) == math.factorial(k + 1)
-    assert all(sorted(arr) == list(range(k + 1)) for arr in table.arrangements)
-    assert len(table.base) == len(table.cums) == len(table.reduced)
-    assert len(table.nxt) == len(table.moves)
+    chain = labelled_chain(build_chain(k))
+    assert len(chain.reduced) == len(set(chain.arrangements)) == math.factorial(k + 1)
+    assert all(sorted(arr) == list(range(k + 1)) for arr in chain.arrangements)
+    assert len(chain.base) == len(chain.rotation) == len(chain.reduced)
+    assert len(chain.nxt) == len(chain.other)
 
 
 def test_broken_label_correspondence_raises(monkeypatch):
     """Swapping the grown columns of two moves keeps box conservation but
-    gives one label arrangement two reduced states."""
+    leaves the labels where no rotation of the target's word puts them."""
     mc = build_chain(3)
     moves = [list(row) for row in mc.moves]
     first, second = moves[1][:2]
@@ -167,67 +168,93 @@ def test_broken_label_correspondence_raises(monkeypatch):
     moves[1][1] = dataclasses.replace(second, column=first.column)
     broken = MarkovChain(mc.k, mc.states, moves, mc.matrix)
     monkeypatch.setattr(simulate.chain_mod, "build_chain", lambda k: broken)
-    with pytest.raises(InvariantError, match="not a function of the label arrangement"):
+    with pytest.raises(InvariantError, match="not a TASEP jump"):
         run_simulation(SimConfig(k=3, n=10, seed=1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_labelled_states_are_the_rotations_of_one_arrangement(k):
-    """Each reduced state carries exactly k+1 arrangements, all rotations of
-    its first-reached one, and ``rotation`` names the shift of each."""
+    """In the labelled closure each reduced state carries exactly k+1
+    arrangements, all rotations of its first-reached one, and ``rotation``
+    names the shift of each."""
     mc = build_chain(k)
-    table = simulate._sampling_tables(mc)
+    chain = labelled_chain(mc)
     r = k + 1
     by_state = {}
-    for a, s in enumerate(table.reduced):
+    for a, s in enumerate(chain.reduced):
         by_state.setdefault(s, []).append(a)
     assert sorted(by_state) == list(range(len(mc.states)))
     for s, labelled in by_state.items():
-        assert table.canonical[s] == labelled[0]
-        first = table.arrangements[labelled[0]]
-        arrangements = [table.arrangements[a] for a in labelled]
+        assert chain.canonical[s] == labelled[0]
+        first = chain.arrangements[labelled[0]]
+        arrangements = [chain.arrangements[a] for a in labelled]
         assert len(arrangements) == r
         assert set(arrangements) == {tuple((c + t) % r for c in first) for t in range(r)}
         for a in labelled:
-            assert table.arrangements[a] == tuple((c + table.rotation[a]) % r for c in first)
+            assert chain.arrangements[a] == tuple((c + chain.rotation[a]) % r for c in first)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_reduced_moves_agree_across_rotations(k):
-    """A reduced move steps the rotation by one amount and jumps over one
-    label from all k+1 arrangements of its state."""
+    """In the labelled closure a reduced move steps the rotation by one
+    amount and jumps over one label from all k+1 arrangements of its state."""
     mc = build_chain(k)
-    table = simulate._sampling_tables(mc)
+    chain = labelled_chain(mc)
     r = k + 1
-    first = {}
-    for a, s in enumerate(table.reduced):
-        first.setdefault(s, table.arrangements[a])
-
-    def shift(a):
-        return (table.arrangements[a][0] - first[table.reduced[a]][0]) % r
-
     seen = {}
-    for a, s in enumerate(table.reduced):
+    for a, s in enumerate(chain.reduced):
         for i in range(len(mc.moves[s])):
-            j = table.base[a] + i
+            j = chain.base[a] + i
             seen.setdefault((s, i), set()).add(
-                ((shift(table.nxt[j]) - shift(a)) % r, table.moves[j][3])
+                ((chain.rotation[chain.nxt[j]] - chain.rotation[a]) % r, chain.other[j])
             )
     assert len(seen) == sum(len(row) for row in mc.moves)
     assert all(len(found) == 1 for found in seen.values())
 
 
-def test_tampered_jumped_over_label_raises():
-    mc = build_chain(3)
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_word_tables_match_the_labelled_closure(k):
+    """The word tables are the closure's canonical rows up to one rotation
+    d_s per state, with d_0 = 0: the closure's arrangement of s is the word
+    arrangement shifted by d_s, every move jumps over the same label and
+    reaches the same state, and its turns differ by d_s - d_t, which
+    telescopes away over any path."""
+    mc = build_chain(k)
     table = simulate._sampling_tables(mc)
-    a = next(a for a, turn in enumerate(table.rotation) if turn)
-    j = table.base[a]
-    target, removed, column, other = table.moves[j]
-    moves = list(table.moves)
-    moves[j] = (target, removed, column, other % 4 + 1)
-    simulate._rotations(table, len(mc.states))  # the untampered table passes
-    with pytest.raises(InvariantError, match="depends on the rotation"):
-        simulate._rotations(table._replace(moves=moves), len(mc.states))
+    chain = labelled_chain(mc)
+    r = k + 1
+    d = []
+    for s, arrangement in enumerate(table.arrangements):
+        canonical = chain.arrangements[chain.canonical[s]]
+        shift = (canonical[0] - arrangement[0]) % r
+        assert canonical == tuple((c + shift) % r for c in arrangement)
+        d.append(shift)
+    assert d[0] == 0 and table.arrangements[0] == tuple(range(r))
+    for s, (row, turns) in enumerate(zip(table.moves, table.turns)):
+        assert len(row) == len(turns) == len(mc.moves[s]) == len(table.cums[s])
+        for i, ((t, removed, column, other), turn) in enumerate(zip(row, turns)):
+            j = chain.base[chain.canonical[s]] + i
+            assert (column, removed) == (mc.moves[s][i].column, mc.moves[s][i].removed or 0)
+            assert t == chain.reduced[chain.nxt[j]]
+            assert other == chain.other[j]
+            assert chain.rotation[chain.nxt[j]] == (turn + d[s] - d[t]) % r
+
+
+def test_tampered_target_raises():
+    """Sending a move to any other state leaves the labels where no rotation
+    of the new target's word puts them."""
+    mc = build_chain(3)
+    simulate._sampling_tables(mc)  # the untampered chain passes
+    for s, row in enumerate(mc.moves):
+        for i, m in enumerate(row):
+            wrong = mc.states[(factorial_index(m.target, 3) + 1 + s) % len(mc.states)]
+            if wrong == m.target:
+                continue
+            moves = [list(r) for r in mc.moves]
+            moves[s][i] = dataclasses.replace(m, target=wrong)
+            tampered = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+            with pytest.raises(InvariantError, match="not a TASEP jump"):
+                simulate._sampling_tables(tampered)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -236,7 +263,7 @@ def test_symbols_pick_the_bisect_move_of_every_state(k):
     global symbol picks from each state the move ``bisect_right`` picks."""
     table = simulate._sampling_tables(build_chain(k))
     walk = simulate._walk_tables(table)
-    cums = [table.cums[a] for a in table.canonical]
+    cums = table.cums
     breaks = np.array(sorted({c for row in cums for c in row}))
     assert np.array_equal(walk.breaks[: len(breaks)], breaks)
     draws = np.concatenate(
