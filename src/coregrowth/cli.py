@@ -112,9 +112,11 @@ def cmd_dims(args) -> int:
     k = args.k
     guard_error("dims --all-reduced" if args.all_reduced else "dims", k, args.force)
     if args.all_reduced:
+        if args.partition is not None:
+            raise UsageError("--all-reduced takes no partition")
         targets = list(enumerate_reduced_states(k))
     else:
-        targets = [_parsed(check_k_bounded, args.partition, k)]
+        targets = [_parsed(check_k_bounded, args.partition or (), k)]
     print(f"{'partition':>20} {'d^(k)':>12} {'w^(k)':>12} {'d_hook':>12}  sandwich")
     failed = False
     for lam in targets:
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table for a partition or all reduced states")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("partition", nargs="?", type=parse_partition, default=())
+    p.add_argument("partition", nargs="?", type=parse_partition, help="default: the empty partition")
     p.add_argument("--all-reduced", action="store_true")
     p.add_argument("--force", action="store_true", help="lift the k<=6 guard of --all-reduced")
     p.set_defaults(func=cmd_dims)

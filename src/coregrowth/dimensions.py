@@ -139,7 +139,7 @@ def strong_dim_raising(parts: Parts, k: int) -> int:
 class _DimTable:
     """Per-k memo of dimensions over cores, filled on demand.
 
-    ``fill`` computes one core from its strong covers, recursing only into
+    ``fill`` computes one core from its strong covers, descending only into
     covers not yet in ``by_core``, and stores the sum under the core and its
     transpose, so each transposed pair is scanned once and a lookup fills
     the strong-order ideal below its core, that ideal's transpose, and
@@ -172,7 +172,26 @@ class _DimTable:
         return index
 
     def fill(self, kappa: Parts, n: int) -> int:
-        """d(kappa) = d(kappa^T) for the core kappa of level n >= 1, memoised with its ideal."""
+        """d(kappa) = d(kappa^T) for the core kappa of level n >= 1, memoised with its ideal.
+
+        Each open scan is a generator on an explicit stack, one per level
+        below kappa, so the depth of Python's stack does not grow with n.
+        """
+        stack = [self._scan(kappa, n)]
+        while stack:
+            tau = next(stack[-1], None)
+            if tau is None:
+                stack.pop()
+            else:
+                stack.append(self._scan(tau, n - len(stack)))
+        return self.by_core[kappa]
+
+    def _scan(self, kappa: Parts, n: int):
+        """Sum d over the strong covers of kappa, then store it under kappa and kappa^T.
+
+        Yields each cover not yet in ``by_core`` and resumes once ``fill``
+        has stored it, so every candidate is tested once.
+        """
         dims = self.by_core
         top = _first_part(kappa)
         total = 0
@@ -183,10 +202,10 @@ class _DimTable:
                 if contains(kappa, tau):
                     d = dims.get(tau)
                     if d is None:
-                        d = self.fill(tau, n - 1)
+                        yield tau
+                        d = dims[tau]
                     total += skew_components(kappa, tau) * d
         dims[kappa] = dims[conjugate(kappa)] = total
-        return total
 
     def extend(self, level: int) -> None:
         dims = self.by_core

@@ -7,9 +7,13 @@ shorter rows above.
 
 An r-core is a partition with no hook of length r.  For r = k+1 the maps
 ``core_to_bounded`` / ``bounded_to_core`` translate between (k+1)-cores and
-partitions with parts at most k.  ``reduce_rectangles`` projects a k-bounded
-partition onto the finite state space of k! partitions whose multiplicity
-vector satisfies l_i <= k-i.
+partitions with parts at most k.  The push-right rule behind
+``bounded_to_core`` is one row step, ``stack_row``: from the rows above the
+bottom one and their core, it adds the bottom row with O(1) arithmetic and
+one tuple copy, so ``posets`` builds a whole level of cores with one step
+per core on cores already built.  ``reduce_rectangles`` projects a
+k-bounded partition onto the finite state space of k! partitions whose
+multiplicity vector satisfies l_i <= k-i.
 """
 
 from __future__ import annotations
@@ -82,34 +86,40 @@ def core_to_bounded(parts: Parts, k: int) -> Parts:
     return tuple(out)
 
 
+def stack_row(first: int, rest: Parts, rest_core: Parts, k: int) -> Parts:
+    """The (k+1)-core of ``(first,) + rest``, from the core ``rest_core`` of ``rest``.
+
+    One step of the push-right rule.  The rows of ``rest`` are final in
+    ``rest_core``, and the shift they carried down, ``rest_core[0] -
+    rest[0]``, moves the new bottom row too.  The row then moves right by
+    the least amount that leaves each of its ``first`` original cells with
+    hook length at most k.  The cell c-th from the right has arm c - 1, so
+    it needs leg at most k - c: a column past ``rest_core[k - c]``.  That
+    bound rises with c, so the leftmost original cell (c = ``first``)
+    decides.  Needs 1 <= first <= k and ``rest`` with parts at most
+    ``first``; the caller checks.
+    """
+    row = first + (rest_core[0] - rest[0] if rest else 0)
+    if k - first < len(rest_core):
+        row = max(row, rest_core[k - first] + first)
+    return (row,) + rest_core
+
+
 @cache
 def bounded_to_core(parts: Parts, k: int) -> Parts:
     """Inverse of ``core_to_bounded``: inflate a k-bounded partition to its (k+1)-core.
 
-    Rows are processed from the top (shortest) down.  Each row, together with
-    all rows below it, is pushed right by the least shift that leaves every
-    original cell of the row with hook length at most k; the legs only involve
-    the rows above, which are already final, so the shift has a closed form.
+    A fold of ``stack_row`` from the top (shortest) row down: each row,
+    together with all rows below it, is pushed right by the least shift
+    that leaves every original cell of the row with hook length at most k.
+    The legs only involve the rows above, which are already final, so each
+    row costs one step.
     """
     parts = check_k_bounded(parts, k)
-    above: list[int] = []  # final lengths of rows above, longest first
-    finals: list[int] = []
-    shift = 0
-    for lam in reversed(parts):
-        cur = lam + shift
-        s = 0
-        # cell c-th from the right needs leg <= k-c, i.e. column > above[k-c]
-        for c in range(1, lam + 1):
-            v = k - c
-            if v < len(above):
-                need = above[v] + c - cur
-                if need > s:
-                    s = need
-        final = cur + s
-        shift += s
-        above.insert(0, final)
-        finals.append(final)
-    return tuple(reversed(finals))
+    core = EMPTY
+    for i in range(len(parts) - 1, -1, -1):
+        core = stack_row(parts[i], parts[i + 1 :], core, k)
+    return core
 
 
 @cache

@@ -1,4 +1,11 @@
-"""Weak and strong cover relations on cores and bounded partitions.
+"""Levels of bounded partitions and cores, and the weak and strong orders on them.
+
+``enumerate_bounded(k, n)`` lists the partitions of n with parts at most k,
+and ``cores_of_level(k, n)`` their (k+1)-cores in the same order.  Both are
+memoised per k and built one level at a time from the levels below: a
+partition is its first part on top of a partition already listed, and its
+core is one ``partitions.stack_row`` on that partition's core, so no level
+inflates a partition from scratch.
 
 On k-bounded partitions the weak order is box addition that is monotone for
 k-conjugation.  The strong order is plain containment of (k+1)-cores with the
@@ -9,45 +16,87 @@ number of admissible markings of that step.
 
 from __future__ import annotations
 
-from functools import cache
+from operator import le
 
 from coregrowth.partitions import (
     EMPTY,
     Parts,
-    bounded_to_core,
     check_k_bounded,
     k_conjugate,
+    stack_row,
 )
 
 
 def contains(outer: Parts, inner: Parts) -> bool:
     """Cell-wise containment of Young diagrams."""
-    if len(inner) > len(outer):
-        return False
-    for small, big in zip(inner, outer):
-        if small > big:
-            return False
-    return True
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
-@cache
-def enumerate_bounded(k: int, n: int) -> tuple[Parts, ...]:
-    """All partitions of n with parts <= k, largest part first."""
+class _Levels:
+    """The partitions of each size with parts at most k, and their (k+1)-cores.
+
+    Level n lists its partitions by first part, largest first, and
+    ``starts[n][f]`` (1 <= f <= k) is where those with first part at most
+    f begin.  A partition of n with first part f is f on top of a partition
+    of n - f with parts at most f, and those are the tail of level n - f
+    from ``starts[n - f][f]``.  So a loop over levels reads each level off
+    the levels below it, and each core is one ``stack_row`` on the core of
+    its tail partition.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.bounded: list[tuple[Parts, ...]] = [(EMPTY,)]
+        self.starts: list[list[int]] = [[0] * (k + 1)]
+        self.cores: list[tuple[Parts, ...]] = [(EMPTY,)]
+
+    def bounded_up_to(self, n: int) -> tuple[Parts, ...]:
+        k, bounded, starts = self.k, self.bounded, self.starts
+        for m in range(len(bounded), n + 1):
+            level: list[Parts] = []
+            at = [0] * (k + 1)
+            for f in range(min(k, m), 0, -1):
+                at[f] = len(level)
+                level += [(f,) + rest for rest in bounded[m - f][starts[m - f][f] :]]
+            bounded.append(tuple(level))
+            starts.append(at)
+        return bounded[n]
+
+    def cores_up_to(self, n: int) -> tuple[Parts, ...]:
+        self.bounded_up_to(n)
+        k, bounded, starts, cores = self.k, self.bounded, self.starts, self.cores
+        for m in range(len(cores), n + 1):
+            level: list[Parts] = []
+            for f in range(min(k, m), 0, -1):
+                tail = starts[m - f][f]
+                level += [
+                    stack_row(f, rest, core, k)
+                    for rest, core in zip(bounded[m - f][tail:], cores[m - f][tail:])
+                ]
+            cores.append(tuple(level))
+        return cores[n]
+
+
+_LEVELS: dict[int, _Levels] = {}
+
+
+def _levels(k: int, n: int) -> _Levels:
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return (EMPTY,)
-    out: list[Parts] = []
-    for first in range(min(k, n), 0, -1):
-        for rest in enumerate_bounded(first, n - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    levels = _LEVELS.get(k)
+    if levels is None:
+        levels = _LEVELS[k] = _Levels(k)
+    return levels
 
 
-@cache
+def enumerate_bounded(k: int, n: int) -> tuple[Parts, ...]:
+    """All partitions of n with parts <= k, largest part first."""
+    return _levels(k, n).bounded_up_to(n)
+
+
 def cores_of_level(k: int, n: int) -> tuple[Parts, ...]:
-    """The (k+1)-cores whose bounded image has size n."""
-    return tuple(bounded_to_core(b, k) for b in enumerate_bounded(k, n))
+    """The (k+1)-cores whose bounded image has size n, in the order of ``enumerate_bounded``."""
+    return _levels(k, n).cores_up_to(n)
 
 
 # --- weak order ---------------------------------------------------------
@@ -114,13 +163,31 @@ def weak_predecessors_bounded(parts: Parts, k: int) -> list[Parts]:
     return preds
 
 
-@cache
+_WEAK_DIMS: dict[int, dict[Parts, int]] = {}
+
+
 def weak_dim(parts: Parts, k: int) -> int:
-    """Number of weak-order paths from the empty partition."""
+    """Number of weak-order paths from the empty partition.
+
+    Memoised per k.  The walk down the weak predecessors keeps its own
+    stack, so the depth of Python's stack does not grow with the partition.
+    """
     parts = check_k_bounded(parts, k)
-    if not parts:
-        return 1
-    return sum(weak_dim(mu, k) for mu in weak_predecessors_bounded(parts, k))
+    memo = _WEAK_DIMS.setdefault(k, {EMPTY: 1})
+    preds: dict[Parts, list[Parts]] = {}
+    stack = [parts]
+    while stack:
+        lam = stack[-1]
+        if lam in memo:
+            stack.pop()
+        elif lam in preds:
+            # Everything pushed above lam has finished.
+            memo[lam] = sum(memo[mu] for mu in preds[lam])
+            stack.pop()
+        else:
+            preds[lam] = weak_predecessors_bounded(lam, k)
+            stack += [mu for mu in preds[lam] if mu not in memo]
+    return memo[parts]
 
 
 # --- strong order -------------------------------------------------------

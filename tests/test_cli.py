@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coregrowth import cli
+from coregrowth import cli, dimensions, posets
 from coregrowth.cli import build_parser, guard_error, main, parse_partition
 from coregrowth.reporting import InvariantError, UsageError
 from coregrowth.simulate import SimConfig
@@ -36,6 +37,25 @@ def test_dims_command(capsys):
 def test_dims_rejects_unbounded(capsys):
     assert run_cli("dims", "--k", "3", "4,1") == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_dims_of_a_long_partition_keeps_the_stack_flat(capsys, monkeypatch):
+    """The weak walk, the levels and the tableaux table need no frame per box or per level.
+
+    The limit leaves about 60 frames for the call, far fewer than a walk
+    that recursed once per box or per level would need.
+    """
+    monkeypatch.setattr(posets, "_LEVELS", {})
+    monkeypatch.setattr(posets, "_WEAK_DIMS", {})
+    monkeypatch.setattr(dimensions, "_TABLES", {})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        code = run_cli("dims", "--k", "2", ",".join(["1"] * 240))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert "w<=d<=d^(k)" in capsys.readouterr().out
 
 
 def test_dims_all_reduced(capsys):
@@ -271,6 +291,8 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["verify", "--k", "8", "--suite", "conjectures"],
         ["simulate", "--k", "8", "--n", "10"],
         ["dims", "--k", "7", "--all-reduced"],
+        ["dims", "--k", "3", "--all-reduced", "2,1"],
+        ["dims", "--k", "3", "--all-reduced", ""],
         ["simulate", "--config", "c.json", "--k", "5"],
         ["simulate", "--config", "c.json", "--n", "7"],
         ["simulate", "--config", "c.json", "--seed", "0"],
@@ -294,7 +316,8 @@ def test_bad_input_is_a_usage_error(tmp_path, argv):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 # --- argv fuzzing -------------------------------------------------------------

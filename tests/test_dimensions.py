@@ -551,14 +551,14 @@ def test_chain_fills_the_ideal_of_its_partitions(monkeypatch):
 @pytest.mark.parametrize("k, pairs", [(3, 9), (4, 45), (5, 375)])
 def test_chain_fills_each_transposed_pair_of_its_ideal_once(monkeypatch, k, pairs):
     filled = []
-    fill = dimensions._DimTable.fill
+    scan = dimensions._DimTable._scan
 
-    def counting_fill(self, kappa, n):
+    def counting_scan(self, kappa, n):
         filled.append(kappa)
-        return fill(self, kappa, n)
+        return scan(self, kappa, n)
 
     monkeypatch.setattr(dimensions, "_TABLES", {})
-    monkeypatch.setattr(dimensions._DimTable, "fill", counting_fill)
+    monkeypatch.setattr(dimensions._DimTable, "_scan", counting_scan)
     build_chain(k)
     ideal = strong_ideal(k, chain_partitions(k))
     expected = {frozenset({kappa, conjugate(kappa)}) for kappa in ideal if kappa}

@@ -122,6 +122,17 @@ def test_bounded_to_core_matches_naive_procedure():
                 assert bounded_to_core(b, k) == naive_inflate(b, k)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cores_of_level_inflates_each_level_in_order(k):
+    """Element for element up to the chain's top level; the literal procedure on small levels."""
+    top = max(map(sum, enumerate_reduced_states(k))) + 1
+    for n in range(top + 1):
+        level = cores_of_level(k, n)
+        assert level == tuple(bounded_to_core(b, k) for b in enumerate_bounded(k, n))
+        if n <= 10:
+            assert level == tuple(naive_inflate(b, k) for b in enumerate_bounded(k, n))
+
+
 def test_round_trips_exhaustive():
     for k in range(1, 7):
         sizes = range(0, 31 if k <= 2 else 18)

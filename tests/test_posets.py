@@ -4,11 +4,13 @@ from functools import cache
 
 import pytest
 
+from coregrowth import partitions, posets
 from coregrowth.partitions import (
     EMPTY,
     bounded_to_core,
     conjugate,
     core_to_bounded,
+    stack_row,
 )
 from coregrowth.posets import (
     addable_corners,
@@ -106,6 +108,41 @@ def test_enumerate_bounded():
     assert enumerate_bounded(3, 4) == ((3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert enumerate_bounded(1, 5) == ((1, 1, 1, 1, 1),)
     assert enumerate_bounded(4, 0) == (EMPTY,)
+
+
+def test_contains_is_cell_set_inclusion():
+    shapes = [lam for n in range(9) for lam in enumerate_bounded(max(n, 1), n)]
+    assert len(shapes) == 67
+    cells = {lam: {(i, j) for i, p in enumerate(lam) for j in range(p)} for lam in shapes}
+    for outer in shapes:
+        for inner in shapes:
+            assert contains(outer, inner) == (cells[inner] <= cells[outer]), (outer, inner)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_a_fresh_level_stacks_one_row_per_core(monkeypatch, k):
+    steps = 0
+
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return stack_row(*args)
+
+    def forbidden(*args):
+        raise AssertionError(f"a level inflated {args!r}")
+
+    monkeypatch.setattr(posets, "_LEVELS", {})
+    monkeypatch.setattr(posets, "stack_row", counting_step)
+    monkeypatch.setattr(partitions, "bounded_to_core", forbidden)
+    monkeypatch.setattr(posets, "bounded_to_core", forbidden, raising=False)
+    top = 2 * k + 4
+    cores_of_level(k, top)
+    assert steps == sum(len(cores_of_level(k, n)) for n in range(1, top + 1))
+    before = steps
+    assert len(cores_of_level(k, top + 1)) == steps - before
+    before = steps
+    cores_of_level(k, top)
+    assert steps == before
 
 
 def test_weak_covers_core_examples():

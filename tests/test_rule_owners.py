@@ -4,7 +4,10 @@
 names ``dimension_table``.  ``chain.growth_steps`` is the one rule for a
 growth step, so only ``chain`` names ``weak_covers_bounded`` and
 ``grown_column``, besides ``posets``, which defines them, and the
-re-exports of ``__init__``.
+re-exports of ``__init__``.  ``partitions.stack_row`` is the push-right
+rule from a bounded partition to its core: ``partitions`` folds it into
+``bounded_to_core`` and ``posets`` stacks each level of cores with it, and
+no other module has a copy.
 """
 
 import ast
@@ -18,6 +21,7 @@ OWNERS = {
     "dimension_table": {"dimensions"},
     "weak_covers_bounded": {"chain", "posets", "__init__"},
     "grown_column": {"chain", "posets", "__init__"},
+    "stack_row": {"partitions", "posets", "__init__"},
 }
 
 
@@ -43,6 +47,7 @@ def test_detector_sees_every_kind_of_name():
         "from coregrowth import dimensions\n"
         "dimensions.dimension_table(3, 4)\n"
         "weak_covers_bounded\n"
+        "partitions.stack_row\n"
         "def growth_steps():\n    pass\n"
     )
     assert names_in(source) & OWNERS.keys() == set(OWNERS)
