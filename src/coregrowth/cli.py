@@ -277,6 +277,8 @@ def appendix_reports(k: int) -> list[Report]:
 def cmd_tasep(args) -> int:
     k = args.k
     guard_error("tasep", k, False)
+    if args.word is not None and args.state is not None:
+        raise UsageError("give --word or --state, not both")
     if args.word:
         word = _parsed(tasep.word_from_string, args.word)
         if len(word) != k + 1:

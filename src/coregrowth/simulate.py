@@ -6,16 +6,17 @@ at small sizes), so a trajectory is simulated in O(1) per step.  The k+1
 labels of the bead classes move as a TASEP on the ring: each move jumps one
 label over its neighbour, and a reduced state's word (``tasep.alpha_inv``)
 fixes where every label sits, up to a rotation of the ring.
-``_sampling_tables`` certifies every move against the words of its two
-states and records the rotation it makes, so the kernel walks the k!-state
-reduced chain alone.  Each draw becomes an exact symbol, its rank among the
-thresholds of all states, and m consecutive symbols one composed symbol, so
-one table lookup takes m steps; per block the loop only draws, walks and
-counts moves.  The rectangle ledger, the state occupancy, the per-residue
-bead frontiers of the growing core and the final rotation are linear in
-those counts and are derived from them afterwards.  The core boundary at
-step n is reconstructed from the frontiers without ever materializing the
-million-row partition.
+``_sampling_tables`` certifies that ``tasep.jump`` takes each move's state
+word to its target's; words keep k+1 last, so only a jump over k+1 turns
+the ring, by one slot, and the kernel walks the k!-state reduced chain
+alone.  Each draw becomes an exact symbol, its rank among the thresholds of
+all states, and m consecutive symbols one composed symbol, so one table
+lookup takes m steps; per block the loop only draws, walks and counts moves.
+The rectangle ledger, the state occupancy, the per-residue bead frontiers
+of the growing core and the final rotation are linear in those counts and
+are derived from them afterwards.  The core boundary at step n is
+reconstructed from the frontiers without ever materializing the million-row
+partition.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from coregrowth.partitions import (
 )
 from coregrowth.posets import enumerate_bounded
 from coregrowth.reporting import THEOREM, InvariantError, Report, UsageError
-from coregrowth.tasep import alpha_inv, value_positions
+from coregrowth.tasep import alpha_inv, jump
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: the CLI loads this module eagerly
@@ -109,7 +110,6 @@ class SimConfig:
 @dataclass
 class SimResult:
     config: SimConfig
-    steps: int
     final_state: Parts
     ledger: tuple[int, ...]
     occupancy: np.ndarray  # visits per state, factorial-index order
@@ -117,63 +117,6 @@ class SimResult:
     boundary: list[tuple[float, float]]
     rho_hat: np.ndarray
     checkpoints: list[tuple[int, int, tuple[int, ...]]]
-
-
-class SamplingTable(NamedTuple):
-    """The reduced chain with the TASEP word of each state, one row per state.
-
-    State s's word ``tasep.alpha_inv(s, k)`` puts label i+1 at ring position
-    ``arrangements[s][i]``.  Its moves, in ``mc.moves`` order, are
-    ``moves[s]`` (target, removed rectangle or 0, grown column, jumped-over
-    label); a uniform draw u picks move ``bisect_right(cums[s], u)``.  Move i
-    turns the ring by ``turns[s][i]``: after the jump the labels sit at the
-    target's word arrangement with every position shifted by it (mod k+1).
-    """
-
-    cums: list[list[float]]
-    moves: list[list[tuple[int, int, int, int]]]
-    turns: list[list[int]]
-    arrangements: list[tuple[int, ...]]
-
-
-def _sampling_tables(mc: chain_mod.MarkovChain) -> SamplingTable:
-    """Read each move of the reduced chain off the words of its two states.
-
-    A move grows ``column``: that label jumps from its position c to
-    c - 1 (mod k+1), swapping with the label found there.  The arrangement
-    this leaves must be the target's word arrangement turned by one amount,
-    the move's turn; otherwise the chain is not the TASEP on its words and
-    ``InvariantError`` is raised.
-    """
-    k = mc.k
-    r = k + 1
-    positions = [value_positions(alpha_inv(s, k)) for s in mc.states]
-    arrangements = [tuple(pos[label] - 1 for label in range(1, r + 1)) for pos in positions]
-    table = SamplingTable([], [], [], arrangements)
-    for s, (moves, label_class) in enumerate(zip(mc.moves, arrangements)):
-        cums = list(accumulate(float(m.rate) for m in moves))
-        row, turns = [], []
-        for m in moves:
-            target = factorial_index(m.target, k)
-            c = label_class[m.column - 1]
-            sigma = (c - 1) % r
-            other = label_class.index(sigma) + 1
-            moved = list(label_class)
-            moved[m.column - 1], moved[other - 1] = sigma, c
-            reached = arrangements[target]
-            turn = (moved[0] - reached[0]) % r
-            if any((c1 - c0 - turn) % r for c1, c0 in zip(moved, reached)):
-                raise InvariantError(
-                    f"move of label {m.column} from state {s} is not a TASEP jump: "
-                    f"it leaves {tuple(moved)}, no rotation of target {target}'s {reached}"
-                )
-            row.append((target, m.removed or 0, m.column, other))
-            turns.append(turn)
-        cums[-1] = 1.0 + 1e-12  # guard the top bucket
-        table.cums.append(cums)
-        table.moves.append(row)
-        table.turns.append(turns)
-    return table
 
 
 # The most entries (reduced states x composed symbols) of the composed step
@@ -188,14 +131,14 @@ class WalkTables(NamedTuple):
 
     Reduced moves are numbered by state, then in ``mc.moves`` order; move j
     is ``moves[j]`` (target, removed rectangle or 0, grown column,
-    jumped-over label) and turns the ring by ``turns[j]``.  State s's word
-    arrangement is ``arrangements[s]``.
+    jumped-over label).
 
     A draw u is symbol g, the number of ``breaks`` at or below u: the
     sorted thresholds of all reduced states, followed by ``depth``
     infinities; ``below`` indexes them by bucket for ``_symbols``.  As every
     threshold is a break, from state s symbol g picks move
-    ``step_move[s, g]``, the one ``bisect_right(cums[s], u)`` picks.
+    ``step_move[s, g]``, the one ``bisect_right`` picks from the cumulative
+    rates of s's moves, the last of them raised above 1.
     The symbols g_1..g_m of m consecutive draws make one composed symbol
     c = sum of g_t G**(m-t), G symbols in all; from s it fires the moves
     ``composed_move[s * G**m + c]`` in order, and the last one's target is
@@ -203,8 +146,6 @@ class WalkTables(NamedTuple):
     """
 
     moves: list[tuple[int, int, int, int]]
-    turns: list[int]
-    arrangements: list[tuple[int, ...]]
     breaks: np.ndarray
     below: np.ndarray
     depth: int
@@ -213,17 +154,37 @@ class WalkTables(NamedTuple):
     composed_move: np.ndarray
 
 
-def _walk_tables(table: SamplingTable) -> WalkTables:
-    """The step tables of the reduced chain, in the narrowest integer dtypes."""
+def _sampling_tables(mc: chain_mod.MarkovChain) -> WalkTables:
+    """Read each move of the reduced chain off its state's word, into step tables.
+
+    A move grows ``column``: ``tasep.jump`` of that label on the word of its
+    state must give the target's word, or the chain is not the TASEP on its
+    words and ``InvariantError`` is raised.  The tables take the narrowest
+    integer dtypes.
+    """
     import numpy as np
 
-    moves = [move for row in table.moves for move in row]
-    states = len(table.cums)
-    breaks = np.array(sorted({c for row in table.cums for c in row}))
+    k = mc.k
+    words = [alpha_inv(s, k) for s in mc.states]
+    moves, cums = [], []
+    for s, (row, word) in enumerate(zip(mc.moves, words)):
+        for m in row:
+            target = factorial_index(m.target, k)
+            hit = jump(word, m.column)
+            if hit is None or hit[1] != words[target]:
+                raise InvariantError(
+                    f"move of label {m.column} from state {s} is not a TASEP jump: it "
+                    f"leaves {hit[1] if hit else word}, not target {target}'s word {words[target]}"
+                )
+            moves.append((target, m.removed or 0, m.column, hit[0]))
+        cums.append(list(accumulate(float(m.rate) for m in row)))
+        cums[-1][-1] = 1.0 + 1e-12  # guard the top bucket
+    states = len(cums)
+    breaks = np.array(sorted({c for row in cums for c in row}))
     symbols = len(breaks)
     step_move = np.empty((states, symbols), np.min_scalar_type(len(moves) - 1))
     first = 0
-    for s, row in enumerate(table.cums):
+    for s, row in enumerate(cums):
         step_move[s] = np.searchsorted(row, breaks) + first
         first += len(row)
     targets = np.array([move[0] for move in moves], np.min_scalar_type(states - 1))
@@ -246,8 +207,6 @@ def _walk_tables(table: SamplingTable) -> WalkTables:
     depth = int(np.diff(below).max())
     return WalkTables(
         moves=moves,
-        turns=[turn for row in table.turns for turn in row],
-        arrangements=table.arrangements,
         breaks=np.concatenate((breaks, np.full(depth, np.inf))),
         below=below[:-1].astype(np.min_scalar_type(symbols + depth)),
         depth=depth,
@@ -285,19 +244,20 @@ BLOCK = 8192
 def run_simulation(config: SimConfig) -> SimResult:
     """Walk the reduced chain in composed steps, counting how often each move fires.
 
-    A reduced move jumps the same labels and turns the ring by the same
-    amount from every rotation of its state's word, so every output except
-    the current state is linear in the move counts: occupancy, ledger and
-    by-label frontiers, and the final rotation, the counts times each move's
-    turn.  The loop only draws, walks and counts; the outputs are derived
-    from the counts afterwards (the ledger also at each checkpoint, where a
-    block always ends).
+    A reduced move jumps the same labels from every rotation of its state's
+    word, and only a jump over k+1 turns the ring, by one slot, so every
+    output except the current state is linear in the move counts: occupancy,
+    ledger and by-label frontiers, and the final rotation, the number of
+    jumps over k+1.  The final state's word then places each label's
+    frontier on its bead class.  The loop only draws, walks and counts; the
+    outputs are derived from the counts afterwards (the ledger also at each
+    checkpoint, where a block always ends).
     """
     import numpy as np
 
     k = config.k
     mc = chain_mod.build_chain(k)
-    walk = _walk_tables(_sampling_tables(mc))
+    walk = _sampling_tables(mc)
     sizes = [sum(s) for s in mc.states]
     removed = np.array([move[1] for move in walk.moves])
     removals = [np.flatnonzero(removed == i) for i in range(1, k + 1)]
@@ -352,19 +312,19 @@ def run_simulation(config: SimConfig) -> SimResult:
     _assert_conserved(config.n, sizes[state], ledger, k)
     occupancy = [0] * states
     by_label = initial_frontiers(k)  # label i+1 starts at class i
-    turn = 0
-    for (target, _removed, column, other), step, c in zip(walk.moves, walk.turns, counts.tolist()):
+    turn = 0  # each jump over k+1 turns the ring by one slot
+    for (target, _removed, column, other), c in zip(walk.moves, counts.tolist()):
         occupancy[target] += c
         by_label[column - 1] -= c  # the jumping label's frontier steps down
         by_label[other - 1] += c  # the jumped-over label's steps up
-        turn += step * c
+        if other == k + 1:
+            turn += c
     frontiers = [0] * (k + 1)
-    for label, cls in enumerate(walk.arrangements[state]):
-        frontiers[(cls + turn) % (k + 1)] = by_label[label]
+    for cls, label in enumerate(alpha_inv(mc.states[state], k)):
+        frontiers[(cls + turn) % (k + 1)] = by_label[label - 1]
     boundary = boundary_from_frontiers(frontiers, k, config.n, config.boundary_samples)
     return SimResult(
         config=config,
-        steps=config.n,
         final_state=mc.states[state],
         ledger=tuple(ledger),
         occupancy=np.array(occupancy, dtype=np.int64),
@@ -503,7 +463,7 @@ def rho_csv(result: SimResult) -> str:
     target = 1.0 / comb(result.config.k + 2, 3)
     lines = ["i,count,rho_hat,conjectured"]
     for i, c in enumerate(result.ledger, start=1):
-        lines.append("%d,%d,%.12g,%.12g" % (i, c, c / result.steps, target))
+        lines.append("%d,%d,%.12g,%.12g" % (i, c, c / result.config.n, target))
     return "\n".join(lines) + "\n"
 
 
@@ -513,7 +473,7 @@ def occupancy_csv(result: SimResult, pi: chain_mod.StationaryDistribution) -> st
         visits = result.occupancy[i]
         lines.append(
             '%d,"%s",%d,%.12g,%.12g'
-            % (i, " ".join(map(str, s)), int(visits), visits / result.steps, float(pi.values[i]))
+            % (i, " ".join(map(str, s)), int(visits), visits / result.config.n, float(pi.values[i]))
         )
     return "\n".join(lines) + "\n"
 
@@ -549,7 +509,7 @@ def overlay_svg(result: SimResult, rho, deviation: tuple[float, float]) -> str:
             svg_pts(pts),
             svg_pts(curve),
             result.config.k,
-            result.steps,
+            result.config.n,
             ",".join(map(str, rho)),
             deviation[0],
         )
@@ -560,7 +520,7 @@ def report_json(result: SimResult, rho, deviation: tuple[float, float]) -> str:
     sup_deviation, mean_sq_deviation = deviation
     payload = {
         "k": result.config.k,
-        "n": result.steps,
+        "n": result.config.n,
         "seed": result.config.seed,
         "final_state": list(result.final_state),
         "ledger": list(result.ledger),

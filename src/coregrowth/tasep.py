@@ -2,7 +2,8 @@
 
 A state is a permutation of 1..k+1 on a ring, written in one-line notation
 with k+1 held in the last slot.  A value jumps by swapping with its cyclic
-left neighbor whenever that neighbor is larger.  ``alpha``/``alpha_inv``
+left neighbor whenever that neighbor is larger: ``jump``, which the
+verifiers and the simulator read every move off.  ``alpha``/``alpha_inv``
 realize the bijection with the reduced k-bounded partitions: value i is
 placed l_i cyclic steps to the left of i+1, ignoring everything smaller.
 The verifiers compare the jumps of each state's word with the moves of a
@@ -70,26 +71,27 @@ def alpha(word: Word) -> Parts:
     return parts_from_multiplicities(l)
 
 
+def jump(word: Word, value: int) -> tuple[int, Word] | None:
+    """The move of ``value``: (the label it swaps with, the normalized word after).
+
+    It swaps with its cyclic left neighbor, and None is returned if that is
+    smaller.  ``word[idx - 1]`` wraps the first slot to k+1: the one jump over
+    k+1, which turns the ring by one slot when the word is normalized again.
+    """
+    idx = word.index(value)
+    left = word[idx - 1]
+    if left <= value:
+        return None
+    if idx:
+        return left, word[: idx - 1] + (value, left) + word[idx + 1 :]
+    return left, word[1:-1] + (value, left)
+
+
 def jumps(word: Word) -> list[tuple[int, Word]]:
     """All admissible moves (value, resulting normalized word)."""
     word = check_word(word)
-    n = len(word)
-    out = []
-    for idx in range(n - 1):
-        value = word[idx]
-        left = word[idx - 1] if idx else word[-1]
-        if left <= value:
-            continue
-        if idx:
-            moved = word[: idx - 1] + (value, left) + word[idx + 1 :]
-        else:
-            moved = word[1 : n - 1] + (value, word[-1])
-        out.append((value, moved))
-    return sorted(out)
-
-
-def value_positions(word: Word) -> dict[int, int]:
-    return {v: i + 1 for i, v in enumerate(word)}
+    hits = ((value, jump(word, value)) for value in range(1, len(word)))
+    return [(value, hit[1]) for value, hit in hits if hit]
 
 
 # --- verifiers -------------------------------------------------------------
@@ -113,10 +115,9 @@ def verify_rectangle_jump(mc: MarkovChain) -> Report:
     bad = None
     for s, moves in zip(mc.states, mc.moves):
         word = alpha_inv(s, k)
-        pos = value_positions(word)
         for m in moves:
-            left = word[pos[m.column] - 2] if pos[m.column] >= 2 else word[-1]
-            swaps_next = left == m.column + 1
+            hit = jump(word, m.column)
+            swaps_next = hit is not None and hit[0] == m.column + 1
             if m.removed != (m.column if swaps_next else None):
                 bad = {"state": s, "column": m.column, "removed": m.removed}
                 break

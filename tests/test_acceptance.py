@@ -160,10 +160,10 @@ def test_criterion_9_simulation():
     rho_ok = bool(np.all(np.abs(result.rho_hat - 0.1) < 5e-3))
 
     occ_ok = True
-    freq = result.occupancy / result.steps
+    freq = result.occupancy / result.config.n
     for i in range(6):
         p = float(pi.values[i])
-        se = math.sqrt(p * (1 - p) / result.steps)
+        se = math.sqrt(p * (1 - p) / result.config.n)
         occ_ok &= abs(freq[i] - p) <= 3 * se
 
     sup_deviation, _ = simulate.compare_to_limit(result.boundary, chain_mod.rho_vector(mc, pi))

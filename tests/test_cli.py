@@ -260,6 +260,19 @@ def test_main_limits_blas_threads_unless_set(preset, expected):
     assert proc.stdout.splitlines()[-1] == expected
 
 
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """Commands that need no numpy start without it.  perfbench's ``setup_s``,
+    spawn to ``coregrowth.cli`` imported, times this import on every workload."""
+    script = "import sys\nimport coregrowth.cli\nprint('numpy' in sys.modules)\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
     """The run and the pi solve build the chain; the occupancy CSV does not."""
     from coregrowth import chain as chain_mod
@@ -286,6 +299,7 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["simulate", "--k", "3", "--n", "10", "--seed", "-1"],
         ["dims", "--k", "0"],
         ["tasep", "--k", "0", "--word", "1"],
+        ["tasep", "--k", "3", "--word", "1-2-3-4", "--state", "1"],
         ["verify", "--k", "0", "--suite", "appendix"],
         ["verify", "--k", "8"],
         ["verify", "--k", "8", "--suite", "conjectures"],

@@ -13,7 +13,7 @@ PACKAGE = Path(coregrowth.__file__).resolve().parent
 # Public functions that may wait for a caller, with the reason.
 ALLOWED = {
     "simulate.spawn_seeds": "ROADMAP item 7",
-    "dimensions.strong_dim_raising": "ROADMAP item 1; the second dimension engine (aim 2)",
+    "dimensions.strong_dim_raising": "the independent second dimension engine (aim 2)",
 }
 
 

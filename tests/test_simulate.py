@@ -6,6 +6,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from coregrowth.simulate import (
     verify_projection,
     write_outputs,
 )
+from coregrowth.tasep import alpha_inv
 from oracles import labelled_chain
 
 
@@ -215,28 +217,34 @@ def test_reduced_moves_agree_across_rotations(k):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_word_tables_match_the_labelled_closure(k):
     """The word tables are the closure's canonical rows up to one rotation
-    d_s per state, with d_0 = 0: the closure's arrangement of s is the word
-    arrangement shifted by d_s, every move jumps over the same label and
-    reaches the same state, and its turns differ by d_s - d_t, which
+    d_s per state, with d_0 = 0: the closure's arrangement of s is the
+    arrangement of s's word shifted by d_s, every move jumps over the same
+    label and reaches the same state, and its turn, one for a jump over k+1
+    and none otherwise, differs from the closure's by d_s - d_t, which
     telescopes away over any path."""
     mc = build_chain(k)
-    table = simulate._sampling_tables(mc)
+    walk = simulate._sampling_tables(mc)
     chain = labelled_chain(mc)
     r = k + 1
     d = []
-    for s, arrangement in enumerate(table.arrangements):
+    for s, state in enumerate(mc.states):
+        word = alpha_inv(state, k)
+        arrangement = tuple(word.index(label) for label in range(1, r + 1))
         canonical = chain.arrangements[chain.canonical[s]]
         shift = (canonical[0] - arrangement[0]) % r
         assert canonical == tuple((c + shift) % r for c in arrangement)
         d.append(shift)
-    assert d[0] == 0 and table.arrangements[0] == tuple(range(r))
-    for s, (row, turns) in enumerate(zip(table.moves, table.turns)):
-        assert len(row) == len(turns) == len(mc.moves[s]) == len(table.cums[s])
-        for i, ((t, removed, column, other), turn) in enumerate(zip(row, turns)):
+    assert d[0] == 0 and alpha_inv(mc.states[0], k) == tuple(range(1, r + 1))
+    assert len(walk.moves) == sum(map(len, mc.moves))
+    moves = iter(walk.moves)
+    for s, row in enumerate(mc.moves):
+        for i, move in enumerate(row):
+            t, removed, column, other = next(moves)
             j = chain.base[chain.canonical[s]] + i
-            assert (column, removed) == (mc.moves[s][i].column, mc.moves[s][i].removed or 0)
+            assert (column, removed) == (move.column, move.removed or 0)
             assert t == chain.reduced[chain.nxt[j]]
             assert other == chain.other[j]
+            turn = int(other == k + 1)
             assert chain.rotation[chain.nxt[j]] == (turn + d[s] - d[t]) % r
 
 
@@ -261,9 +269,11 @@ def test_tampered_target_raises():
 def test_symbols_pick_the_bisect_move_of_every_state(k):
     """At every break, just below it, at 0 and on random draws, the one
     global symbol picks from each state the move ``bisect_right`` picks."""
-    table = simulate._sampling_tables(build_chain(k))
-    walk = simulate._walk_tables(table)
-    cums = table.cums
+    mc = build_chain(k)
+    walk = simulate._sampling_tables(mc)
+    cums = [list(accumulate(float(m.rate) for m in moves)) for moves in mc.moves]
+    for row in cums:
+        row[-1] = 1.0 + 1e-12  # guard the top bucket
     breaks = np.array(sorted({c for row in cums for c in row}))
     assert np.array_equal(walk.breaks[: len(breaks)], breaks)
     draws = np.concatenate(
@@ -281,7 +291,7 @@ def test_symbols_pick_the_bisect_move_of_every_state(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_composed_table_is_m_single_steps_within_the_cap(k):
-    walk = simulate._walk_tables(simulate._sampling_tables(build_chain(k)))
+    walk = simulate._sampling_tables(build_chain(k))
     states, symbols = walk.step_move.shape
     width = symbols**walk.m
     assert states * width <= simulate.COMPOSED_ENTRIES or walk.m == 1
@@ -442,10 +452,10 @@ def test_occupancy_tracks_pi_roughly():
     mc = build_chain(3)
     pi = stationary(mc)
     result = run_simulation(SimConfig(k=3, n=50_000, seed=7))
-    freq = result.occupancy / result.steps
+    freq = result.occupancy / result.config.n
     for i in range(6):
         p = float(pi.values[i])
-        se = math.sqrt(p * (1 - p) / result.steps)
+        se = math.sqrt(p * (1 - p) / result.config.n)
         assert abs(freq[i] - p) < 6 * se
 
 
@@ -615,10 +625,10 @@ def test_occupancy_matches_pi_k4_long_run():
     mc = build_chain(4)
     pi = stationary(mc)
     result = run_simulation(SimConfig(k=4, n=1_000_000, seed=5))
-    freq = result.occupancy / result.steps
+    freq = result.occupancy / result.config.n
     for i in range(24):
         p = float(pi.values[i])
-        se = math.sqrt(p * (1 - p) / result.steps)
+        se = math.sqrt(p * (1 - p) / result.config.n)
         assert abs(freq[i] - p) <= 3 * se
 
 

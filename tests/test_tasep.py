@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +19,7 @@ from coregrowth.tasep import (
     alpha,
     alpha_inv,
     check_word,
+    jump,
     jumps,
     verify_rectangle_jump,
     verify_tasep_equivalence,
@@ -158,6 +160,28 @@ def test_jumps_examples():
     assert [v for v, _w in moves] == [1, 2, 3]
 
 
+def test_jump_is_the_ring_swap_on_every_word():
+    """``jump`` against the rule restated on the ring, on every normalized
+    word: a value jumps iff its cyclic left neighbour is larger, the word
+    after is the swap of the two rotated to put k+1 last, and the one jump
+    over k+1 is that of the value in the first slot."""
+    for k in range(1, 6):
+        r = k + 1
+        for head in permutations(range(1, r)):
+            word = head + (r,)
+            over_top = []
+            for value in range(1, r + 1):
+                p = word.index(value)
+                left = word[(p - 1) % r]
+                ring = list(word)
+                ring[p], ring[(p - 1) % r] = left, value
+                hit = jump(word, value)
+                assert hit == ((left, normalize_word(ring)) if left > value else None)
+                if hit and hit[0] == r:
+                    over_top.append(value)
+            assert over_top == [word[0]]
+
+
 def test_jump_count_matches_weak_covers():
     for k in range(2, 6):
         for s in enumerate_reduced_states(k):
@@ -233,8 +257,6 @@ def test_build_chain_certifies_box_conservation(monkeypatch):
 
 
 def test_alpha_inv_after_alpha_on_all_words():
-    from itertools import permutations
-
     for k in range(1, 8):
         for head in permutations(range(1, k + 1)):
             word = head + (k + 1,)
