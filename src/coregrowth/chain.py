@@ -7,7 +7,10 @@ take the rate d(cover) / ((n+1) d(state)) from ``step_rate``.
 ``build_chain`` reads the steps out of each reduced state and certifies that
 each row sums to one and that each move conserves boxes (the target holds
 one box more than its state, less the deleted rectangle); it raises
-``InvariantError`` otherwise.  The TASEP verifiers and the simulator read
+``InvariantError`` otherwise.  It assembles each k once per process: every
+later call returns the same frozen ``MarkovChain``, whose ``index`` maps
+each state to its position in ``states`` (factorial-index order), so state
+lookups cost one dict probe.  The TASEP verifiers and the simulator read
 the moves from the built chain.
 
 ``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
@@ -26,7 +29,7 @@ the tests compare the CRT solve against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, gcd, isqrt
@@ -62,19 +65,36 @@ class Move:
     rate: Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovChain:
+    """The chain on ``states``; ``build_chain`` hands one instance to every caller.
+
+    ``moves`` and ``matrix`` are stored as tuples, and the dict rows of
+    ``matrix`` are read-only: a caller that needs a changed chain builds a
+    new one from copies of the rows.
+    """
+
     k: int
     states: tuple[Parts, ...]  # factorial-index order
-    moves: list[list[Move]]  # moves[i]: the moves out of states[i]
-    matrix: list[dict[int, Fraction]]  # sparse rows, aggregated over moves
+    moves: tuple[tuple[Move, ...], ...]  # moves[i]: the moves out of states[i]
+    matrix: tuple[dict[int, Fraction], ...]  # sparse rows, aggregated over moves
+    index: dict[Parts, int] = field(init=False, repr=False, compare=False)  # state -> position
+
+    def __post_init__(self):
+        object.__setattr__(self, "moves", tuple(map(tuple, self.moves)))
+        object.__setattr__(self, "matrix", tuple(self.matrix))
+        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.states)})
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def state_index(self, parts: Parts) -> int:
-        return factorial_index(parts, self.k)
+        """Position of ``parts`` in ``states``; ``factorial_index``'s ValueError for a non-state."""
+        try:
+            return self.index[parts]
+        except (KeyError, TypeError):
+            return factorial_index(parts, self.k)
 
 
 @dataclass
@@ -113,11 +133,26 @@ def growth_steps(parts: Parts, k: int) -> list[Move]:
     return out
 
 
+_CHAINS: dict[int, MarkovChain] = {}
+
+
 def build_chain(k: int) -> MarkovChain:
-    """Assemble the exact transition structure on all k! reduced states."""
+    """The exact transition structure on all k! reduced states.
+
+    Assembled and certified once per process and k; every call returns that
+    one shared chain.
+    """
+    chain = _CHAINS.get(k)
+    if chain is None:
+        chain = _CHAINS[k] = _assemble(k)
+    return chain
+
+
+def _assemble(k: int) -> MarkovChain:
     if k < 2:
         raise ValueError("the finite chain needs k >= 2")
     states = enumerate_reduced_states(k)
+    index = {s: i for i, s in enumerate(states)}
     moves: list[list[Move]] = []
     matrix: list[dict[int, Fraction]] = []
     for src in states:
@@ -128,7 +163,9 @@ def build_chain(k: int) -> MarkovChain:
             area = rectangle_area(move.removed, k) if move.removed else 0
             if sum(move.target) != n + 1 - area:
                 raise InvariantError(f"move {src!r} -> {move.target!r} does not conserve boxes")
-            ti = factorial_index(move.target, k)
+            ti = index.get(move.target)
+            if ti is None:
+                raise InvariantError(f"move {src!r} -> {move.target!r} leaves the reduced states")
             row[ti] = row.get(ti, Fraction(0)) + move.rate
         total = sum(m.rate for m in steps)
         if total != 1:
@@ -407,8 +444,7 @@ def verify_rate_one_over_k(chain: MarkovChain) -> Report:
 def verify_conjugation_symmetry(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     """P and pi are invariant under k-conjugation of states."""
     k = chain.k
-    idx = {s: i for i, s in enumerate(chain.states)}
-    conj = [idx[k_conjugate(s, k)] for s in chain.states]
+    conj = [chain.index[k_conjugate(s, k)] for s in chain.states]
     for i, row in enumerate(chain.matrix):
         mapped = {conj[j]: rate for j, rate in row.items()}
         if mapped != chain.matrix[conj[i]]:
@@ -466,10 +502,8 @@ def verify_lcd_and_mk(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     k = chain.k
     lcd = pi.lcd
     mk = mk_constant(k)
-    numerators = {
-        str(factorial_index(s, k)): str(pi.of(s) * mk) for s in chain.states
-    }
-    integral = all(pi.of(s) * mk == int(pi.of(s) * mk) for s in chain.states)
+    numerators = {str(i): str(v * mk) for i, v in enumerate(pi.values)}
+    integral = all(v * mk == int(v * mk) for v in pi.values)
     return Report(
         "lcd-divides-Mk",
         CONJECTURE,
@@ -483,7 +517,7 @@ def verify_minimum(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     k = chain.k
     predicted = Fraction((k + 1) * _prod_binom(k), mk_constant(k))
     mn = min(pi.values)
-    argmin = [s for s in chain.states if pi.of(s) == mn]
+    argmin = [s for s, v in zip(chain.states, pi.values) if v == mn]
     pattern_zero_or_max = all(
         all(l in (0, k - i) for i, l in enumerate(multiplicities(s, k), start=1))
         for s in argmin
@@ -524,10 +558,9 @@ def verify_position_of_k(chain: MarkovChain, pi: StationaryDistribution) -> Repo
     k = chain.k
     by_position = [Fraction(0)] * k
     by_ones = [Fraction(0)] * k
-    for s in chain.states:
-        word = alpha_inv(s, k)
-        by_position[word.index(k)] += pi.of(s)
-        by_ones[multiplicities(s, k)[0]] += pi.of(s)
+    for s, v in zip(chain.states, pi.values):
+        by_position[alpha_inv(s, k).index(k)] += v
+        by_ones[multiplicities(s, k)[0]] += v
     ok = by_position == by_ones
     return Report(
         "position-of-k",
@@ -602,12 +635,12 @@ def chain_to_json(chain: MarkovChain, pi: StationaryDistribution, reports: list[
         "k": k,
         "states": [
             {
-                "index": factorial_index(s, k),
+                "index": i,
                 "parts": list(s),
                 "l": list(multiplicities(s, k)),
                 "word": word_to_string(alpha_inv(s, k)),
             }
-            for s in chain.states
+            for i, s in enumerate(chain.states)
         ],
         "matrix": [
             {"from": i, "to": j, "rate": str(rate)}

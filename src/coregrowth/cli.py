@@ -134,7 +134,7 @@ def cmd_dims(args) -> int:
     return EXIT_HARD_FAIL if failed else EXIT_OK
 
 
-def _assemble_chain(k: int):
+def _solved_chain(k: int):
     mc = chain_mod.build_chain(k)
     pi = chain_mod.stationary(mc)
     return mc, pi
@@ -168,7 +168,7 @@ def cmd_chain(args) -> int:
     k = args.k
     guard_error("chain", k, args.force)
     t0 = time.perf_counter()
-    mc, pi = _assemble_chain(k)
+    mc, pi = _solved_chain(k)
     reports = _theorem_reports(k, mc, pi) + _conjecture_reports(k, mc, pi)
     print(f"chain on {mc.size} states, k={k}")
     print(f"lcd(pi) = {pi.lcd}")
@@ -192,7 +192,11 @@ def _sim_config(args) -> simulate.SimConfig:
         if given:
             raise UsageError(f"--config excludes {', '.join(given)}")
         with open(args.config, encoding="utf-8") as fh:
-            return simulate.SimConfig.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"config is not valid UTF-8: {exc}") from exc
+        return simulate.SimConfig.from_json(text)
     if args.k is None or args.n is None:
         raise UsageError("either --config or both --k and --n")
     outputs = {}
@@ -234,7 +238,7 @@ def cmd_verify(args) -> int:
     report = RunReport(command="verify", k=k, inputs={"suite": args.suite})
     reports: list[Report] = []
     if args.suite in ("theorems", "conjectures", "all"):
-        mc, pi = _assemble_chain(k)
+        mc, pi = _solved_chain(k)
         if args.suite in ("theorems", "all"):
             reports += _theorem_reports(k, mc, pi)
         if args.suite in ("conjectures", "all"):

@@ -33,7 +33,6 @@ from coregrowth import chain as chain_mod
 from coregrowth.partitions import (
     Parts,
     enumerate_reduced_states,
-    factorial_index,
     rectangle_area,
     reduce_rectangles,
 )
@@ -169,7 +168,7 @@ def _sampling_tables(mc: chain_mod.MarkovChain) -> WalkTables:
     moves, cums = [], []
     for s, (row, word) in enumerate(zip(mc.moves, words)):
         for m in row:
-            target = factorial_index(m.target, k)
+            target = mc.state_index(m.target)
             hit = jump(word, m.column)
             if hit is None or hit[1] != words[target]:
                 raise InvariantError(
@@ -440,7 +439,7 @@ def verify_projection(k: int, n_max: int) -> Report:
     bad = None
     for b in (b for n in range(n_max) for b in enumerate_bounded(k, n)):
         steps = set(chain_mod.growth_steps(b, k))
-        moves = set(mc.moves[factorial_index(reduce_rectangles(b, k)[0], k)])
+        moves = set(mc.moves[mc.state_index(reduce_rectangles(b, k)[0])])
         if steps != moves:
             bad = {
                 "B": b,

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from coregrowth import chain as chain_mod
+from coregrowth import cli
 from coregrowth.chain import (
     MarkovChain,
     _float_candidate,
@@ -240,6 +243,55 @@ def test_chain_json_and_csv(chain3):
 def test_build_chain_rejects_small_k():
     with pytest.raises(ValueError):
         build_chain(1)
+
+
+def test_build_chain_returns_one_read_only_chain_per_k():
+    mc = build_chain(3)
+    assert build_chain(3) is mc and build_chain(4) is not mc
+    assert type(mc.moves) is tuple and all(type(row) is tuple for row in mc.moves)
+    assert type(mc.matrix) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mc.moves = ()
+    # a chain built from copied rows is frozen as well, and leaves the shared one alone
+    moves = [list(row) for row in mc.moves]
+    moves[0].pop()
+    changed = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+    assert type(changed.moves[0]) is tuple and len(changed.moves[0]) == len(mc.moves[0]) - 1
+    assert build_chain(3) is mc and len(mc.moves[0]) == len(moves[0]) + 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_state_index_is_the_factorial_index(k):
+    mc = build_chain(k)
+    assert [mc.state_index(s) for s in mc.states] == [factorial_index(s, k) for s in mc.states]
+    assert mc.index == {s: factorial_index(s, k) for s in mc.states}
+
+
+@pytest.mark.parametrize("parts", [(3,), (4, 1), (2, 2, 2), (1, 2)])
+def test_state_index_of_a_non_state_raises_the_factorial_index_error(parts):
+    mc = build_chain(3)
+    with pytest.raises(ValueError) as today:
+        factorial_index(parts, 3)
+    with pytest.raises(ValueError, match=re.escape(str(today.value))):
+        mc.state_index(parts)
+    with pytest.raises(ValueError, match=re.escape(str(today.value))):
+        stationary(mc).of(parts)
+
+
+@pytest.mark.parametrize(
+    "argv", [["chain", "--k", "4"], ["verify", "--k", "4", "--suite", "all"]], ids=["chain", "verify"]
+)
+def test_a_command_assembles_its_chain_once(monkeypatch, fresh_memos, capsys, argv):
+    """The command and ``verify_projection`` both call ``build_chain``; one assembles.
+
+    perfbench pins the two calls (``chain.build_chain.calls == 2``).
+    """
+    calls, assembled = [], []
+    build, assemble = chain_mod.build_chain, chain_mod._assemble
+    monkeypatch.setattr(chain_mod, "build_chain", lambda k: calls.append(k) or build(k))
+    monkeypatch.setattr(chain_mod, "_assemble", lambda k: assembled.append(k) or assemble(k))
+    assert cli.main(argv) == 0
+    assert calls == [4, 4] and assembled == [4]
 
 
 def test_row_sums_exact():

@@ -274,18 +274,26 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 
 
 def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
-    """The run and the pi solve build the chain; the occupancy CSV does not."""
+    """The run and the pi solve each call ``build_chain``, and get the one memoised
+    chain; the occupancy CSV calls it not at all."""
     from coregrowth import chain as chain_mod
 
-    built = []
+    built, chains = [], []
     build = chain_mod.build_chain
-    monkeypatch.setattr(chain_mod, "build_chain", lambda k: built.append(k) or build(k))
+
+    def recording(k):
+        built.append(k)
+        chains.append(build(k))
+        return chains[-1]
+
+    monkeypatch.setattr(chain_mod, "build_chain", recording)
     names = ("boundary_csv", "rho_csv", "occupancy_csv", "svg", "report_json")
     cfg = {"k": 3, "n": 2000, "seed": 1, "outputs": {key: str(tmp_path / key) for key in names}}
     cpath = tmp_path / "run.json"
     cpath.write_text(json.dumps(cfg))
     assert run_cli("simulate", "--config", str(cpath)) == 0
     assert built == [3, 3]
+    assert chains[0] is chains[1]
     assert len((tmp_path / "occupancy_csv").read_text().splitlines()) == 1 + 6
 
 
@@ -463,6 +471,17 @@ def test_config_integers_are_strict(tmp_path, capsys, config):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error:") and "must be an integer" in line
+
+
+@pytest.mark.parametrize("raw", [b"\xff", b'{"k": 3, "n": 10, "seed": "\xe9"}'], ids=["0xff", "latin-1"])
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, raw):
+    cpath = tmp_path / "run.json"
+    cpath.write_bytes(raw)
+    assert run_cli("simulate", "--config", str(cpath)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and "UTF-8" in line
 
 
 def test_flags_and_config_build_one_config(tmp_path, monkeypatch):

@@ -537,10 +537,9 @@ def test_lookups_fill_only_the_strong_order_ideal(monkeypatch, k):
         assert by_core == {core: oracle[core] for core in by_core}
 
 
-def test_chain_fills_the_ideal_of_its_partitions(monkeypatch):
+def test_chain_fills_the_ideal_of_its_partitions(fresh_memos):
     k = 5
     partitions = chain_partitions(k)
-    monkeypatch.setattr(dimensions, "_TABLES", {})
     build_chain(k)
     by_core = dimensions._TABLES[k].by_core
     assert by_core.keys() == strong_ideal(k, partitions)
@@ -549,7 +548,7 @@ def test_chain_fills_the_ideal_of_its_partitions(monkeypatch):
 
 
 @pytest.mark.parametrize("k, pairs", [(3, 9), (4, 45), (5, 375)])
-def test_chain_fills_each_transposed_pair_of_its_ideal_once(monkeypatch, k, pairs):
+def test_chain_fills_each_transposed_pair_of_its_ideal_once(monkeypatch, fresh_memos, k, pairs):
     filled = []
     scan = dimensions._DimTable._scan
 
@@ -557,7 +556,6 @@ def test_chain_fills_each_transposed_pair_of_its_ideal_once(monkeypatch, k, pair
         filled.append(kappa)
         return scan(self, kappa, n)
 
-    monkeypatch.setattr(dimensions, "_TABLES", {})
     monkeypatch.setattr(dimensions._DimTable, "_scan", counting_scan)
     build_chain(k)
     ideal = strong_ideal(k, chain_partitions(k))
@@ -598,7 +596,7 @@ def test_lazy_lookups_in_any_order_complete_to_the_level_table(monkeypatch, k):
     [["chain", "--k", "3"], ["simulate", "--k", "3", "--n", "10000"]],
     ids=["chain", "simulate"],
 )
-def test_smoke_runs_reject_a_containment_candidate(monkeypatch, tmp_path, argv):
+def test_smoke_runs_reject_a_containment_candidate(monkeypatch, fresh_memos, tmp_path, argv):
     """Each benchmark smoke command tests more cores than its table's covers.
 
     perfbench's per-layer test (``perfbench/test_perfbench.py:54``) asserts
@@ -618,7 +616,6 @@ def test_smoke_runs_reject_a_containment_candidate(monkeypatch, tmp_path, argv):
         return found
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(dimensions, "_TABLES", {})
     monkeypatch.setattr(dimensions, "contains", counting_contains)
     assert cli.main(argv) == 0
     assert calls > hits > 0

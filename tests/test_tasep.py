@@ -244,7 +244,7 @@ def test_verifiers_read_the_chain_they_are_given():
     assert not verify_rectangle_jump(MarkovChain(mc.k, mc.states, moves, mc.matrix)).passed
 
 
-def test_build_chain_certifies_box_conservation(monkeypatch):
+def test_build_chain_certifies_box_conservation(monkeypatch, fresh_memos):
     """A move whose target misses the deleted rectangle's boxes raises."""
     steps = chain_mod.growth_steps
     monkeypatch.setattr(
@@ -253,6 +253,13 @@ def test_build_chain_certifies_box_conservation(monkeypatch):
         lambda parts, k: [dataclasses.replace(m, removed=None) for m in steps(parts, k)],
     )
     with pytest.raises(InvariantError, match="does not conserve boxes"):
+        build_chain(3)
+
+
+def test_build_chain_certifies_that_every_target_is_a_state(monkeypatch, fresh_memos):
+    """A move that keeps its full rectangle conserves boxes but reaches no reduced state."""
+    monkeypatch.setattr(chain_mod, "reduce_rectangles", lambda parts, k: (parts, (0,) * k))
+    with pytest.raises(InvariantError, match="leaves the reduced states"):
         build_chain(3)
 
 
