@@ -2,28 +2,31 @@
 
 States are the reduced k-bounded partitions.  ``growth_steps`` is the one
 growth-step rule, from any k-bounded partition: grow one column (a weak
-cover), delete full k-rectangles, name the type whose ledger count rose, and
-take the rate d(cover) / ((n+1) d(state)) from ``step_rate``.
-``build_chain`` reads the steps out of each reduced state and certifies that
-each row sums to one and that each move conserves boxes (the target holds
-one box more than its state, less the deleted rectangle); it raises
-``InvariantError`` otherwise.  It assembles each k once per process: every
-later call returns the same frozen ``MarkovChain``, whose ``index`` maps
-each state to its position in ``states`` (factorial-index order), so state
-lookups cost one dict probe.  The TASEP verifiers and the simulator read
-the moves from the built chain.
+cover), keep every multiplicity l_i mod (k-i+1) (which deletes the full
+k-rectangles), name the type whose ledger count rose, and take the rate
+d(cover) / ((n+1) d(state)) from the dimension table.  ``build_chain``
+reads the steps out of each reduced state and certifies, in integers, that
+each row sums to one, and that each move conserves boxes (the target holds
+one box more than its state, less the deleted rectangle) and lands on a
+reduced state; it raises ``InvariantError`` otherwise.  It assembles each k
+once per process: every later call returns the same frozen
+``MarkovChain``, whose ``index`` maps each state to its position in
+``states`` (factorial-index order), so state lookups cost one dict probe.
+The TASEP verifiers and the simulator read the moves from the built chain.
 
 ``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
-the normalized system proposes x; the candidate is round(x_i M_k) / M_k,
-with M_k = prod_j C(2j, j) the conjectured common denominator.  The exact
-check ``_verify_stationary`` (pi sums to one, is positive, and pi P = pi
-over the rationals) is the certificate: only a vector that passes it is
-returned.  A rejected or non-finite candidate costs time, never correctness:
-the exact fallback then solves the system modulo several word-sized primes,
-combines the residues by CRT and rationally reconstructs pi, adding primes
-until the reconstruction passes the same check.  Dense rational Gaussian
-elimination (``_solve_fraction_gauss``) is kept only as the reference that
-the tests compare the CRT solve against.
+the normalized system lumped over k-conjugation orbits proposes y; the
+candidate is round(y_i M_k) / M_k, with M_k = prod_j C(2j, j) the
+conjectured common denominator.  The exact check ``_verify_stationary`` (pi
+sums to one, is positive, and pi P = pi over the rationals, computed in
+integers) is the certificate: only a vector that passes it is returned.  A
+rejected or non-finite candidate costs time, never correctness: the exact
+fallback then solves the system modulo several word-sized primes, combines
+the residues by CRT and rationally reconstructs pi, adding primes until the
+reconstruction passes the same check.  Dense rational Gaussian elimination
+(``_solve_fraction_gauss``) is kept only as the reference that the tests
+compare the CRT solve against.  ``StationaryDistribution`` keeps lcd(pi)
+and the integer numerators pi_i lcd, which the verifiers sum and compare.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import comb, factorial, gcd, isqrt
+from functools import cached_property
+from math import comb, factorial, gcd, isqrt, lcm
 
 from coregrowth import dimensions
 from coregrowth.partitions import (
@@ -42,8 +45,8 @@ from coregrowth.partitions import (
     factorial_index,
     k_conjugate,
     multiplicities,
+    parts_from_multiplicities,
     rectangle_area,
-    reduce_rectangles,
 )
 from coregrowth.posets import (
     enumerate_bounded,
@@ -99,37 +102,72 @@ class MarkovChain:
 
 @dataclass
 class StationaryDistribution:
+    """pi on ``chain.states``, with its common denominator and integer numerators.
+
+    ``lcd`` and ``numerators`` (pi_i lcd, aligned with the states) are
+    computed on first use and kept, so the verifiers sum and compare
+    integers; ``values`` is not changed after that.
+    """
+
     chain: MarkovChain
     values: list[Fraction]  # aligned with chain.states
 
-    @property
+    @cached_property
     def lcd(self) -> int:
-        return reduce(lambda a, b: a * b // gcd(a, b), (v.denominator for v in self.values), 1)
+        return lcm(*(v.denominator for v in self.values))
+
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        lcd = self.lcd
+        return tuple(v.numerator * (lcd // v.denominator) for v in self.values)
 
     def of(self, parts: Parts) -> Fraction:
         return self.values[self.chain.state_index(parts)]
 
 
+def _rate_denominator(src: Parts, k: int) -> int:
+    """(|src| + 1) d(src): every rate out of ``src`` is d(cover) over this."""
+    return (sum(src) + 1) * dimensions.strong_dim_tableaux(src, k)
+
+
 def step_rate(src: Parts, cover: Parts, k: int) -> Fraction:
     """Rate d(cover) / ((|src| + 1) d(src)) of the step from ``src`` to its weak cover."""
-    return Fraction(
-        dimensions.strong_dim_tableaux(cover, k),
-        (sum(src) + 1) * dimensions.strong_dim_tableaux(src, k),
-    )
+    return Fraction(dimensions.strong_dim_tableaux(cover, k), _rate_denominator(src, k))
+
+
+def _step_target(l: tuple[int, ...], column: int, k: int) -> tuple[Parts, int | None]:
+    """The reduced target of growing ``column`` on multiplicities l, and the type it completes.
+
+    Growing column c moves one part from size c-1 to size c (c = 1 adds a
+    part), so l_{c-1} falls by one and l_c rises by one; the target keeps
+    every l_i mod (k-i+1).  Only type c can gain a rectangle, and it does
+    exactly when l_c + 1 is a multiple of k-c+1: that is the type whose
+    ledger count ``reduce_rectangles`` of the cover would raise.
+    """
+    grown = list(l)
+    grown[column - 1] += 1
+    if column > 1:
+        grown[column - 2] -= 1
+    reduced = [m % (k - i) for i, m in enumerate(grown)]
+    return parts_from_multiplicities(reduced), column if reduced[column - 1] == 0 else None
 
 
 def growth_steps(parts: Parts, k: int) -> list[Move]:
     """One ``Move`` per weak cover of a k-bounded partition.
 
-    The target is the cover with its full k-rectangles deleted; ``removed``
-    is the rectangle type whose ledger count the step raises, if any.
+    The column is the one the cover grew, and ``_step_target`` reads the
+    target and the completed rectangle type off the multiplicity vector,
+    with no rectangle deletion per cover.  Every rate shares the
+    denominator (|parts| + 1) d(parts).
     """
-    base = reduce_rectangles(parts, k)[1]
+    l = multiplicities(parts, k)
+    denominator = _rate_denominator(parts, k)
     out = []
     for cover in weak_covers_bounded(parts, k):
-        target, ledger = reduce_rectangles(cover, k)
-        removed = next((i for i, (b, c) in enumerate(zip(base, ledger), start=1) if c > b), None)
-        out.append(Move(grown_column(parts, cover), target, removed, step_rate(parts, cover, k)))
+        column = grown_column(parts, cover)
+        target, removed = _step_target(l, column, k)
+        rate = Fraction(dimensions.strong_dim_tableaux(cover, k), denominator)
+        out.append(Move(column, target, removed, rate))
     return out
 
 
@@ -149,6 +187,13 @@ def build_chain(k: int) -> MarkovChain:
 
 
 def _assemble(k: int) -> MarkovChain:
+    """Read every state's steps and certify each row with integers.
+
+    Every rate out of ``src`` has a denominator dividing D = (|src| + 1)
+    d(src), so the row sums to one exactly when the numerators scaled to D
+    sum to D.  Each move must also conserve boxes and land on a reduced
+    state.
+    """
     if k < 2:
         raise ValueError("the finite chain needs k >= 2")
     states = enumerate_reduced_states(k)
@@ -158,6 +203,8 @@ def _assemble(k: int) -> MarkovChain:
     for src in states:
         n = sum(src)
         steps = growth_steps(src, k)
+        denominator = _rate_denominator(src, k)
+        scaled = 0
         row: dict[int, Fraction] = {}
         for move in steps:
             area = rectangle_area(move.removed, k) if move.removed else 0
@@ -166,10 +213,15 @@ def _assemble(k: int) -> MarkovChain:
             ti = index.get(move.target)
             if ti is None:
                 raise InvariantError(f"move {src!r} -> {move.target!r} leaves the reduced states")
-            row[ti] = row.get(ti, Fraction(0)) + move.rate
-        total = sum(m.rate for m in steps)
-        if total != 1:
-            raise InvariantError(f"row of {src!r} sums to {total}, not 1")
+            quotient, rest = divmod(denominator, move.rate.denominator)
+            if rest:
+                raise InvariantError(
+                    f"rate {move.rate} of {src!r} -> {move.target!r} is not over {denominator}"
+                )
+            scaled += move.rate.numerator * quotient
+            row[ti] = row[ti] + move.rate if ti in row else move.rate
+        if scaled != denominator:
+            raise InvariantError(f"row of {src!r} sums to {Fraction(scaled, denominator)}, not 1")
         moves.append(steps)
         matrix.append(row)
     return MarkovChain(k, states, moves, matrix)
@@ -335,40 +387,85 @@ def _solve_crt(chain: MarkovChain) -> list[Fraction]:
     raise InvariantError("stationary solve failed to reconstruct an exact solution")
 
 
+def _common_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """(N, L) with sum a/b = N/L over the terms (a, b), L the lcm of the b's; integers only."""
+    common = lcm(*(b for _a, b in terms))
+    return sum(a * (common // b) for a, b in terms), common
+
+
 def _verify_stationary(chain: MarkovChain, pi: list[Fraction]) -> None:
-    if sum(pi) != 1:
+    """pi sums to 1, is positive and satisfies pi P = pi, exactly and in integers.
+
+    With L = lcd(pi) and n_i = pi_i L, the checks are sum n_i = L, n_i > 0,
+    and for each state j, sum_i n_i P_ij = n_j.
+    """
+    dist = StationaryDistribution(chain, pi)
+    nums = dist.numerators
+    if sum(nums) != dist.lcd:
         raise InvariantError("stationary vector does not sum to 1")
-    if any(v <= 0 for v in pi):
+    if min(nums) <= 0:
         raise InvariantError("stationary vector has a non-positive entry")
-    inflow = [Fraction(0)] * chain.size
-    for i, row in enumerate(chain.matrix):
+    inflow: list[list[tuple[int, int]]] = [[] for _ in nums]
+    for num, row in zip(nums, chain.matrix):
         for j, rate in row.items():
-            inflow[j] += pi[i] * rate
-    if inflow != pi:
-        raise InvariantError("pi P != pi")
+            inflow[j].append((num * rate.numerator, rate.denominator))
+    for num, terms in zip(nums, inflow):
+        total, common = _common_sum(terms)
+        if total != num * common:
+            raise InvariantError("pi P != pi")
+
+
+def _conjugation_orbits(chain: MarkovChain) -> list[int]:
+    """orbit[i]: the number of state i's k-conjugation orbit, in order of first states."""
+    k = chain.k
+    orbit: list[int] = []
+    numbers: dict[int, int] = {}
+    for i, s in enumerate(chain.states):
+        first = min(i, chain.index.get(k_conjugate(s, k), i))
+        orbit.append(numbers.setdefault(first, len(numbers)))
+    return orbit
 
 
 def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
-    """round(x M_k) / M_k for the float64 solution x of the normalized system.
+    """round(y M_k) / M_k for the float64 solution y of the lumped normalized system.
 
-    None when the solve fails or is not finite.
+    P commutes with k-conjugation of states (the conjugation-symmetry
+    theorem), so pi is constant on each orbit {s, s^*}: the unknowns are
+    y_o, pi of any state of orbit o, about k!/2 of them for k! states.  Row
+    o sums the balance of the orbit's states, sum_i P_ij y_orbit(i) =
+    |o| y_o over j in o; row 0 (the orbit of the empty state) is instead
+    the normalization sum_o |o| y_o = 1.  The system is built straight from
+    the sparse rows.  Only a candidate: were the symmetry broken, the exact
+    check would reject it and the exact fallback would run.  None when the
+    solve fails or is not finite.
     """
     import numpy as np
 
-    n = chain.size
-    a = np.zeros((n, n + 1))
-    for r, row in enumerate(_stationary_system(chain)):
-        for c, v in row.items():
-            a[r, c] = float(v)
+    orbit = _conjugation_orbits(chain)
+    m = max(orbit) + 1
+    rows, cols, rates = [], [], []
+    for i, row in enumerate(chain.matrix):
+        for j, rate in row.items():
+            rows.append(orbit[j])
+            cols.append(orbit[i])
+            rates.append(float(rate))
+    a = np.zeros((m, m))
+    np.add.at(a, (rows, cols), rates)
+    sizes = np.bincount(orbit, minlength=m)
+    a[np.diag_indices(m)] -= sizes
+    a[0] = sizes
+    b = np.zeros(m)
+    b[0] = 1.0
     try:
-        x = np.linalg.solve(a[:, :n], a[:, n])
+        y = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return None
     mk = mk_constant(chain.k)
-    scaled = np.rint(x * float(mk))
+    scaled = np.rint(y * float(mk))
     if not np.isfinite(scaled).all():
         return None
-    return [Fraction(int(v), mk) for v in scaled]
+    values = [Fraction(int(v), mk) for v in scaled]
+    return [values[o] for o in orbit]
 
 
 def stationary(chain: MarkovChain) -> StationaryDistribution:
@@ -388,12 +485,20 @@ def stationary(chain: MarkovChain) -> StationaryDistribution:
 # --- rectangle rates and the k-Plancherel family --------------------------
 
 def rho_vector(chain: MarkovChain, pi: StationaryDistribution) -> list[Fraction]:
-    """Long-run rate of creation (= removal) of each rectangle type."""
-    out = [Fraction(0)] * chain.k
-    for moves, p in zip(chain.moves, pi.values):
+    """Long-run rate of creation (= removal) of each rectangle type.
+
+    Summed in integers: each term pi_s rate is (pi_s lcd) a / (lcd b) for the
+    rate a/b, and a type's terms are scaled to the lcm of its b's.
+    """
+    flows: list[list[tuple[int, int]]] = [[] for _ in range(chain.k)]
+    for moves, num in zip(chain.moves, pi.numerators):
         for m in moves:
             if m.removed is not None:
-                out[m.removed - 1] += p * m.rate
+                flows[m.removed - 1].append((num * m.rate.numerator, m.rate.denominator))
+    out = []
+    for terms in flows:
+        total, common = _common_sum(terms)
+        out.append(Fraction(total, pi.lcd * common))
     return out
 
 
@@ -413,11 +518,11 @@ def k_plancherel(k: int, n: int) -> dict[Parts, Fraction]:
 # --- verifiers ------------------------------------------------------------
 
 def verify_pieri_row_sums(chain: MarkovChain) -> Report:
-    bad = [
-        s
-        for s, moves in zip(chain.states, chain.moves)
-        if sum(m.rate for m in moves) != 1
-    ]
+    sums = (
+        _common_sum([(m.rate.numerator, m.rate.denominator) for m in moves])
+        for moves in chain.moves
+    )
+    bad = [s for s, (total, common) in zip(chain.states, sums) if total != common]
     return Report(
         "pieri-row-sums", THEOREM, not bad, {"k": chain.k}, bad[0] if bad else None
     )
@@ -455,8 +560,9 @@ def verify_conjugation_symmetry(chain: MarkovChain, pi: StationaryDistribution) 
                 {"k": k},
                 {"state": chain.states[i]},
             )
+    nums = pi.numerators
     for i in range(chain.size):
-        if pi.values[i] != pi.values[conj[i]]:
+        if nums[i] != nums[conj[i]]:
             return Report(
                 "conjugation-symmetry",
                 THEOREM,
@@ -483,10 +589,12 @@ def verify_rho_symmetry(chain: MarkovChain, pi: StationaryDistribution) -> Repor
 
 def verify_complement(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     k = chain.k
+    nums = pi.numerators
     bad = None
-    for s in chain.states:
-        if pi.of(s) != pi.of(complement(s, k)):
-            bad = {"state": s, "complement": complement(s, k)}
+    for s, num in zip(chain.states, nums):
+        comp = complement(s, k)
+        if num != nums[chain.state_index(comp)]:
+            bad = {"state": s, "complement": comp}
             break
     return Report("complement-symmetry", CONJECTURE, bad is None, {"k": k}, bad)
 
@@ -502,12 +610,16 @@ def verify_lcd_and_mk(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     k = chain.k
     lcd = pi.lcd
     mk = mk_constant(k)
-    numerators = {str(i): str(v * mk) for i, v in enumerate(pi.values)}
-    integral = all(v * mk == int(v * mk) for v in pi.values)
+    # Every pi_i M_k is an integer exactly when lcd(pi) divides M_k.
+    scale, rest = divmod(mk, lcd)
+    numerators = {
+        str(i): str(num * scale if not rest else Fraction(num * mk, lcd))
+        for i, num in enumerate(pi.numerators)
+    }
     return Report(
         "lcd-divides-Mk",
         CONJECTURE,
-        mk % lcd == 0 and integral,
+        not rest,
         {"k": k, "lcd": lcd, "Mk": mk, "A_table": numerators},
     )
 
@@ -516,8 +628,9 @@ def verify_minimum(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     """Minimum value, multiplicity 2^(k-1), and which l-pattern the minimizers fit."""
     k = chain.k
     predicted = Fraction((k + 1) * _prod_binom(k), mk_constant(k))
-    mn = min(pi.values)
-    argmin = [s for s, v in zip(chain.states, pi.values) if v == mn]
+    least = min(pi.numerators)
+    mn = Fraction(least, pi.lcd)
+    argmin = [s for s, num in zip(chain.states, pi.numerators) if num == least]
     pattern_zero_or_max = all(
         all(l in (0, k - i) for i, l in enumerate(multiplicities(s, k), start=1))
         for s in argmin
@@ -556,12 +669,14 @@ def verify_position_of_k(chain: MarkovChain, pi: StationaryDistribution) -> Repo
     from coregrowth.tasep import alpha_inv
 
     k = chain.k
-    by_position = [Fraction(0)] * k
-    by_ones = [Fraction(0)] * k
-    for s, v in zip(chain.states, pi.values):
-        by_position[alpha_inv(s, k).index(k)] += v
-        by_ones[multiplicities(s, k)[0]] += v
+    by_position = [0] * k
+    by_ones = [0] * k
+    for s, num in zip(chain.states, pi.numerators):
+        by_position[alpha_inv(s, k).index(k)] += num
+        by_ones[multiplicities(s, k)[0]] += num
     ok = by_position == by_ones
+    by_position = [Fraction(x, pi.lcd) for x in by_position]
+    by_ones = [Fraction(x, pi.lcd) for x in by_ones]
     return Report(
         "position-of-k",
         CONJECTURE,

@@ -80,14 +80,36 @@ class RunReport:
 
 
 def parse_partition(text: str):
-    """Accept '2,1,1', '[2,1,1]' or '' for the empty partition."""
-    text = text.strip().strip("[]")
-    if not text:
+    """Parts separated by commas or by spaces, in at most one pair of brackets.
+
+    Accepts '2,1,1', '2, 1', '2 1 1' and '[4, 3, 1]'; '' and '[]' are the
+    empty partition.  An empty field ('2,,1', ',,') or a nested bracket
+    ('[[2]]') is a UsageError.
+    """
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1].strip()
+    if not body:
         return ()
     try:
-        return tuple(int(x) for x in text.replace(" ", ",").split(",") if x)
+        return tuple(int(x) for x in (body.split(",") if "," in body else body.split()))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}") from exc
+        raise UsageError(f"cannot parse partition {text!r}") from exc
+
+
+def _check_output_paths(*paths) -> None:
+    """Refuse a bad output path before any work: it must name a file in an existing directory.
+
+    None stands for an output that was not asked for.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not path or os.path.isdir(path):
+            raise UsageError(f"output path {path!r} is not a file name")
+        if not os.path.isdir(folder):
+            raise UsageError(f"output path {path!r}: directory {folder!r} does not exist")
 
 
 def _parsed(parse, *args):
@@ -116,7 +138,8 @@ def cmd_dims(args) -> int:
             raise UsageError("--all-reduced takes no partition")
         targets = list(enumerate_reduced_states(k))
     else:
-        targets = [_parsed(check_k_bounded, args.partition or (), k)]
+        parts = () if args.partition is None else parse_partition(args.partition)
+        targets = [_parsed(check_k_bounded, parts, k)]
     print(f"{'partition':>20} {'d^(k)':>12} {'w^(k)':>12} {'d_hook':>12}  sandwich")
     failed = False
     for lam in targets:
@@ -167,6 +190,7 @@ def _conjecture_reports(k: int, mc, pi) -> list[Report]:
 def cmd_chain(args) -> int:
     k = args.k
     guard_error("chain", k, args.force)
+    _check_output_paths(args.json, args.csv)
     t0 = time.perf_counter()
     mc, pi = _solved_chain(k)
     reports = _theorem_reports(k, mc, pi) + _conjecture_reports(k, mc, pi)
@@ -200,9 +224,9 @@ def _sim_config(args) -> simulate.SimConfig:
     if args.k is None or args.n is None:
         raise UsageError("either --config or both --k and --n")
     outputs = {}
-    if args.csv:
+    if args.csv is not None:
         outputs["boundary_csv"] = args.csv
-    if args.svg:
+    if args.svg is not None:
         outputs["svg"] = args.svg
     config = {"k": args.k, "n": args.n, "outputs": outputs}
     if args.seed is not None:
@@ -213,6 +237,7 @@ def _sim_config(args) -> simulate.SimConfig:
 def cmd_simulate(args) -> int:
     config = _sim_config(args)
     guard_error("simulate", config.k, args.force)
+    _check_output_paths(*config.outputs.values())
     t0 = time.perf_counter()
     result = simulate.run_simulation(config)
     mc = chain_mod.build_chain(config.k)
@@ -234,6 +259,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     k = args.k
     guard_error("verify --suite appendix" if args.suite == "appendix" else "verify", k, args.force)
+    _check_output_paths(args.json)
     t0 = time.perf_counter()
     report = RunReport(command="verify", k=k, inputs={"suite": args.suite})
     reports: list[Report] = []
@@ -289,7 +315,7 @@ def cmd_tasep(args) -> int:
             raise UsageError(f"word has {len(word)} letters, expected {k + 1}")
         state = tasep.alpha(word)
     elif args.state is not None:
-        state = _parsed(check_reduced, args.state, k)
+        state = _parsed(check_reduced, parse_partition(args.state), k)
         word = tasep.alpha_inv(state, k)
     else:
         raise UsageError("provide --word or --state")
@@ -313,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table for a partition or all reduced states")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("partition", nargs="?", type=parse_partition, help="default: the empty partition")
+    p.add_argument("partition", nargs="?", help="default: the empty partition")
     p.add_argument("--all-reduced", action="store_true")
     p.add_argument("--force", action="store_true", help="lift the k<=6 guard of --all-reduced")
     p.set_defaults(func=cmd_dims)
@@ -349,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tasep", help="dump the state/word correspondence and jumps")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--word", help="word like 1-4-2-3-5")
-    p.add_argument("--state", type=parse_partition, default=None)
+    p.add_argument("--state")
     p.set_defaults(func=cmd_tasep)
     return parser
 

@@ -77,12 +77,24 @@ def core_to_bounded(parts: Parts, k: int) -> Parts:
     """Row-wise count of cells with hook length below k+1.
 
     For a (k+1)-core this is the bijection onto k-bounded partitions
-    (delete every cell of hook length > k+1, then left-justify).
+    (delete every cell of hook length > k+1, then left-justify).  Hooks
+    strictly decrease along a row (the arm falls by one, the leg does not
+    rise), so the counted cells are a suffix of the row, and a cell of arm
+    k or more is never counted: each row bisects its last k cells for the
+    first hook of at most k, O(log k) probes instead of one per cell.
     """
     conj = conjugate(parts)
     out = []
     for i, p in enumerate(parts):
-        out.append(sum(1 for j in range(p) if (p - j) + (conj[j] - i) - 1 <= k))
+        # The hook of cell j (0-based) of row i is p - j + conj[j] - i - 1.
+        lo, hi = max(p - k, 0), p
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if p - mid + conj[mid] - i - 1 <= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        out.append(p - lo)
     return tuple(out)
 
 

@@ -8,6 +8,9 @@ realize the bijection with the reduced k-bounded partitions: value i is
 placed l_i cyclic steps to the left of i+1, ignoring everything smaller.
 The verifiers compare the jumps of each state's word with the moves of a
 chain that ``chain.build_chain`` built, so they certify that chain itself.
+They compare in word space: once ``alpha_inv`` is injective on the k!
+states, a move matches a jump exactly when its target's word is the jumped
+word, so no move is read back through ``alpha``.
 """
 
 from __future__ import annotations
@@ -97,14 +100,28 @@ def jumps(word: Word) -> list[tuple[int, Word]]:
 # --- verifiers -------------------------------------------------------------
 
 def verify_tasep_equivalence(mc: MarkovChain) -> Report:
-    """The built chain's moves out of every state are the jumps of its word."""
+    """The built chain's moves out of every state are the jumps of its word.
+
+    Compared in word space: once ``alpha_inv`` is known to be injective on
+    the k! states, it is a bijection onto the k! words, and a move agrees
+    with a jump exactly when the target's word is the jumped word.
+    """
     k = mc.k
+    words = [alpha_inv(s, k) for s in mc.states]
+    if len(set(words)) != len(words):
+        return Report("tasep-equivalence", THEOREM, False, {"k": k}, {"injective": False})
+    word_of = dict(zip(mc.states, words))
     bad = None
-    for s, moves in zip(mc.states, mc.moves):
-        chain_side = sorted((m.column, m.target) for m in moves)
-        tasep_side = [(value, alpha(moved)) for value, moved in jumps(alpha_inv(s, k))]
+    for s, word, moves in zip(mc.states, words, mc.moves):
+        # A target outside the states has no word: () matches no jump.
+        chain_side = sorted((m.column, word_of.get(m.target, ())) for m in moves)
+        tasep_side = jumps(word)
         if chain_side != tasep_side:
-            bad = {"state": s, "chain": dict(chain_side), "tasep": dict(tasep_side)}
+            bad = {
+                "state": s,
+                "chain": {m.column: m.target for m in moves},
+                "tasep": {value: alpha(moved) for value, moved in tasep_side},
+            }
             break
     return Report("tasep-equivalence", THEOREM, bad is None, {"k": k}, bad)
 

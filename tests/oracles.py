@@ -6,7 +6,13 @@ from math import factorial
 from typing import NamedTuple
 
 from coregrowth.dimensions import compositions
-from coregrowth.partitions import Parts, factorial_index, parts_from_multiplicities
+from coregrowth.partitions import (
+    Parts,
+    factorial_index,
+    parts_from_multiplicities,
+    reduce_rectangles,
+)
+from coregrowth.posets import grown_column
 
 
 def conjugate(parts: Parts) -> Parts:
@@ -30,6 +36,49 @@ def is_core(parts: Parts, r: int) -> bool:
             if (p - j) + (conj[j] - i) - 1 == r:
                 return False
     return True
+
+
+def core_to_bounded(parts: Parts, k: int) -> Parts:
+    """Row-wise count of cells with hook length at most k, one cell at a time."""
+    conj = conjugate(parts)
+    return tuple(
+        sum(1 for j in range(p) if (p - j) + (conj[j] - i) - 1 <= k)
+        for i, p in enumerate(parts)
+    )
+
+
+def dense_float_candidate(chain) -> list[Fraction]:
+    """round(x M_k) / M_k for the float64 solve of the full normalized system.
+
+    Row 0 is sum pi = 1 and row j >= 1 the balance of state j, P^T - I: one
+    unknown per state, no use of the conjugation symmetry.
+    """
+    import numpy as np
+
+    from coregrowth.chain import mk_constant
+
+    n = chain.size
+    a = np.zeros((n, n))
+    for i, row in enumerate(chain.matrix):
+        for j, rate in row.items():
+            a[j, i] += float(rate)
+    a -= np.eye(n)
+    a[0] = 1.0
+    b = np.zeros(n)
+    b[0] = 1.0
+    mk = mk_constant(chain.k)
+    return [Fraction(int(v), mk) for v in np.rint(np.linalg.solve(a, b) * float(mk))]
+
+
+def growth_step_fields(parts: Parts, cover: Parts, k: int) -> tuple[int, Parts, int | None]:
+    """(column, target, removed) of the step to ``cover``, by deleting the cover's rectangles.
+
+    ``removed`` is the type whose ledger count rises against that of ``parts``.
+    """
+    target, ledger = reduce_rectangles(cover, k)
+    base = reduce_rectangles(parts, k)[1]
+    removed = next((i for i, (b, c) in enumerate(zip(base, ledger), start=1) if c > b), None)
+    return grown_column(parts, cover), target, removed
 
 
 def rectangle(i: int, k: int) -> Parts:

@@ -35,6 +35,9 @@ from coregrowth.chain import (
 )
 from coregrowth.dimensions import hook_dim
 from coregrowth.partitions import EMPTY, factorial_index
+from coregrowth.reporting import InvariantError
+
+import oracles
 
 # Exact stationary values and edge rates of the six-state chain.
 K3_PI = {
@@ -301,6 +304,42 @@ def test_row_sums_exact():
             assert sum(row.values()) == 1
 
 
+def test_build_chain_certifies_each_row_in_integers(monkeypatch, fresh_memos):
+    """A row whose rates miss a move, or leave the denominator (|src| + 1) d(src), raises."""
+    steps = chain_mod.growth_steps
+    monkeypatch.setattr(chain_mod, "growth_steps", lambda parts, k: steps(parts, k)[:1])
+    with pytest.raises(InvariantError, match=r"row of \(2,\) sums to 1/3, not 1"):
+        build_chain(3)
+
+    def scaled(parts, k):
+        return [dataclasses.replace(m, rate=m.rate * Fraction(7, 11)) for m in steps(parts, k)]
+
+    monkeypatch.setattr(chain_mod, "growth_steps", scaled)
+    with pytest.raises(InvariantError, match=r"rate 7/11 of \(\) -> \(1,\) is not over 1"):
+        build_chain(3)
+
+
+def test_certificate_rejects_each_kind_of_wrong_vector(chain3):
+    """The integer certificate refuses a vector off by its sum, its sign or its balance."""
+    mc, pi = chain3
+    chain_mod._verify_stationary(mc, pi.values)
+    a, b = mc.state_index((1,)), mc.state_index((2, 1, 1))
+
+    def moved(mass):
+        """pi with ``mass`` taken from state a to state b: the sum stays 1."""
+        shift = {a: -mass, b: mass}
+        return [v + shift.get(i, 0) for i, v in enumerate(pi.values)]
+
+    cases = {
+        "does not sum to 1": [v * 2 for v in pi.values],
+        "non-positive": moved(pi.values[a]),
+        "pi P != pi": moved(Fraction(1, 100)),
+    }
+    for message, wrong in cases.items():
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            chain_mod._verify_stationary(mc, wrong)
+
+
 def record_certificates(monkeypatch) -> list:
     """Replace the certificate by a wrapper that records every vector it checks."""
     calls = []
@@ -339,6 +378,29 @@ def test_wrong_scale_candidate_falls_back(monkeypatch, k):
     assert stationary(mc).values == exact
     assert all(v.denominator in (1, 7) for v in calls[0]) and calls[0] != exact  # rejected
     assert calls[-1] == exact  # the CRT solve's reconstruction, certified
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_lumped_candidate_equals_the_dense_one(k):
+    """Solving one unknown per k-conjugation orbit proposes the same vector."""
+    mc = build_chain(k)
+    assert _float_candidate(mc) == oracles.dense_float_candidate(mc)
+
+
+def test_a_chain_without_the_conjugation_symmetry_falls_back(monkeypatch):
+    """The lumped candidate of an asymmetric P is rejected; the exact fallback certifies pi."""
+    mc = build_chain(3)
+    matrix = [dict(row) for row in mc.matrix]
+    src, two, one_one = (mc.state_index(s) for s in ((1,), (2,), (1, 1)))
+    assert matrix[src] == {two: Fraction(1, 2), one_one: Fraction(1, 2)}  # (1,) is self-conjugate
+    matrix[src] = {two: Fraction(1, 3), one_one: Fraction(2, 3)}
+    skewed = MarkovChain(mc.k, mc.states, mc.moves, matrix)
+    assert not verify_conjugation_symmetry(skewed, stationary(mc)).passed
+    exact = _solve_fraction_gauss(skewed)
+    calls = record_certificates(monkeypatch)
+    assert stationary(skewed).values == exact
+    assert calls[0] == _float_candidate(skewed) != exact  # rejected
+    assert calls[-1] == exact
 
 
 @pytest.mark.parametrize("failure", ["singular", "nan"])

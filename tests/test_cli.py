@@ -24,8 +24,14 @@ def run_cli(*argv):
 
 def test_parse_partition():
     assert parse_partition("2,1,1") == (2, 1, 1)
+    assert parse_partition("2 1 1") == (2, 1, 1)
+    assert parse_partition("2, 1") == (2, 1)
     assert parse_partition("[4, 3, 1]") == (4, 3, 1)
     assert parse_partition("") == ()
+    assert parse_partition("[]") == ()
+    for text in (",,", "2,,1", "2,1,", ",2", "[[2]]", "[2]]", "2 1,1", "[2,x]"):
+        with pytest.raises(UsageError, match="cannot parse partition"):
+            parse_partition(text)
 
 
 def test_dims_command(capsys):
@@ -321,6 +327,18 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["simulate", "--config", "c.json", "--csv", "x.csv"],
         ["simulate", "--config", "c.json", "--svg", "x.svg"],
         ["simulate", "--config", "c.json", "--k", "5", "--n", "7", "--seed", "9", "--csv", "x.csv"],
+        ["dims", "--k", "3", ",,"],
+        ["dims", "--k", "3", "2,,1"],
+        ["dims", "--k", "3", "[[2]]"],
+        ["tasep", "--k", "3", "--state", "2,,1"],
+        ["chain", "--k", "3", "--csv", "."],
+        ["chain", "--k", "3", "--json", "nodir/c.json"],
+        ["chain", "--k", "3", "--csv", ""],
+        ["verify", "--k", "3", "--suite", "all", "--json", "nodir/r.json"],
+        ["verify", "--k", "3", "--suite", "appendix", "--json", "."],
+        ["simulate", "--k", "3", "--n", "100000", "--csv", "nodir/b.csv"],
+        ["simulate", "--k", "3", "--n", "100000", "--svg", "."],
+        ["simulate", "--config", "o.json"],
     ],
     ids=" ".join,
 )
@@ -328,6 +346,7 @@ def test_bad_input_is_a_usage_error(tmp_path, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     (tmp_path / "c.json").write_text('{"k": 3, "n": 1000}')  # a config that runs
+    (tmp_path / "o.json").write_text('{"k": 3, "n": 100000, "outputs": {"rho_csv": "nodir/r.csv"}}')
     proc = subprocess.run(
         [sys.executable, "-m", "coregrowth.cli", *argv],
         cwd=tmp_path,

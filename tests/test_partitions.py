@@ -21,7 +21,7 @@ from coregrowth.partitions import (
     reduce_rectangles,
 )
 from coregrowth.chain import Move, growth_steps
-from coregrowth.posets import cores_of_level, enumerate_bounded
+from coregrowth.posets import cores_of_level, enumerate_bounded, weak_covers_bounded
 
 import oracles
 from oracles import is_core, maximal_state, rectangle
@@ -146,6 +146,26 @@ def test_round_trips_exhaustive():
                 assert all(x >= y for x, y in zip(c, b)) and len(c) == len(b)
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_core_to_bounded_matches_the_cell_count(k):
+    """The bisection equals the cell-by-cell count on every core of the chain's levels.
+
+    The chain's top level is one above its largest state (level 36 at k=6).
+    """
+    top = max(map(sum, enumerate_reduced_states(k))) + 1
+    for n in range(top + 1):
+        for core in cores_of_level(k, n):
+            assert core_to_bounded(core, k) == oracles.core_to_bounded(core, k)
+
+
+def test_core_to_bounded_matches_the_cell_count_on_any_partition():
+    """The counted cells are a suffix of each row in every partition, not only in cores."""
+    for n in range(13):
+        for parts in enumerate_bounded(n, n):
+            for k in range(1, 6):
+                assert core_to_bounded(parts, k) == oracles.core_to_bounded(parts, k)
+
+
 def test_k_conjugate_known_values():
     assert k_conjugate((2, 1), 3) == (2, 1)
     assert k_conjugate((1,), 3) == (1,)
@@ -180,6 +200,17 @@ def test_reduce_examples():
         Move(4, EMPTY, 4, Fraction(1, 4)),
         Move(1, (3, 1), None, Fraction(3, 4)),
     ]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_growth_steps_follow_the_multiplicity_rule(k):
+    """Column, target and removed type are those of ``reduce_rectangles(cover)``, size <= 12."""
+    for n in range(13):
+        for b in enumerate_bounded(k, n):
+            steps = [(m.column, m.target, m.removed) for m in growth_steps(b, k)]
+            assert steps == [
+                oracles.growth_step_fields(b, cover, k) for cover in weak_covers_bounded(b, k)
+            ]
 
 
 def test_reduce_conserves_boxes():

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from coregrowth import chain as chain_mod
+from coregrowth import tasep
 from coregrowth.chain import MarkovChain, Move, build_chain, growth_steps
 from coregrowth.partitions import (
     EMPTY,
@@ -12,6 +13,7 @@ from coregrowth.partitions import (
     check_reduced,
     complement,
     enumerate_reduced_states,
+    parts_from_multiplicities,
 )
 from coregrowth.posets import weak_covers_bounded
 from coregrowth.reporting import InvariantError
@@ -244,6 +246,28 @@ def test_verifiers_read_the_chain_they_are_given():
     assert not verify_rectangle_jump(MarkovChain(mc.k, mc.states, moves, mc.matrix)).passed
 
 
+def test_word_space_verifier_fails_on_a_tampered_target():
+    """A move retargeted to another state, or off the states, is not its word's jump."""
+    mc = build_chain(3)
+    for wrong in (mc.states[0], (3, 3)):
+        moves = [list(row) for row in mc.moves]
+        i, j = next(
+            (i, j) for i, row in enumerate(moves) for j, m in enumerate(row) if m.target != wrong
+        )
+        moves[i][j] = dataclasses.replace(moves[i][j], target=wrong)
+        report = verify_tasep_equivalence(MarkovChain(mc.k, mc.states, moves, mc.matrix))
+        assert not report.passed and report.witness["state"] == mc.states[i]
+        assert report.witness["chain"][moves[i][j].column] == wrong
+
+
+def test_word_space_verifier_needs_an_injective_alpha_inv(monkeypatch):
+    """Words compare targets only while ``alpha_inv`` tells the states apart."""
+    mc = build_chain(3)
+    monkeypatch.setattr(tasep, "alpha_inv", lambda parts, k: (1, 2, 3, 4))
+    report = verify_tasep_equivalence(mc)
+    assert not report.passed and report.witness == {"injective": False}
+
+
 def test_build_chain_certifies_box_conservation(monkeypatch, fresh_memos):
     """A move whose target misses the deleted rectangle's boxes raises."""
     steps = chain_mod.growth_steps
@@ -257,8 +281,17 @@ def test_build_chain_certifies_box_conservation(monkeypatch, fresh_memos):
 
 
 def test_build_chain_certifies_that_every_target_is_a_state(monkeypatch, fresh_memos):
-    """A move that keeps its full rectangle conserves boxes but reaches no reduced state."""
-    monkeypatch.setattr(chain_mod, "reduce_rectangles", lambda parts, k: (parts, (0,) * k))
+    """A move that keeps its full rectangle conserves boxes but reaches no reduced state.
+
+    The tampered target rule grows the column on the multiplicities and
+    deletes no rectangle.
+    """
+
+    def unreduced(l, column, k):
+        grown = [m + (i == column - 1) - (i == column - 2) for i, m in enumerate(l)]
+        return parts_from_multiplicities(grown), None
+
+    monkeypatch.setattr(chain_mod, "_step_target", unreduced)
     with pytest.raises(InvariantError, match="leaves the reduced states"):
         build_chain(3)
 
