@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from coregrowth import dimensions
 from coregrowth.partitions import (
@@ -230,12 +230,11 @@ def _assemble(k: int) -> MarkovChain:
 def is_irreducible(chain: MarkovChain) -> bool:
     """Strong connectivity of the transition digraph."""
     n = chain.size
-    fwd = [list(row) for row in chain.matrix]
     rev: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(chain.matrix):
         for j in row:
             rev[j].append(i)
-    for adj in (fwd, rev):
+    for adj in (chain.matrix, rev):
         seen = {0}
         stack = [0]
         while stack:
@@ -415,15 +414,9 @@ def _verify_stationary(chain: MarkovChain, pi: list[Fraction]) -> None:
             raise InvariantError("pi P != pi")
 
 
-def _conjugation_orbits(chain: MarkovChain) -> list[int]:
-    """orbit[i]: the number of state i's k-conjugation orbit, in order of first states."""
-    k = chain.k
-    orbit: list[int] = []
-    numbers: dict[int, int] = {}
-    for i, s in enumerate(chain.states):
-        first = min(i, chain.index.get(k_conjugate(s, k), i))
-        orbit.append(numbers.setdefault(first, len(numbers)))
-    return orbit
+def _conjugates(chain: MarkovChain) -> list[int]:
+    """conj[i]: the position of the k-conjugate of state i."""
+    return [chain.index[k_conjugate(s, chain.k)] for s in chain.states]
 
 
 def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
@@ -441,8 +434,10 @@ def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
     """
     import numpy as np
 
-    orbit = _conjugation_orbits(chain)
-    m = max(orbit) + 1
+    # Orbits are numbered in order of their first states.
+    numbers: dict[int, int] = {}
+    orbit = [numbers.setdefault(min(i, j), len(numbers)) for i, j in enumerate(_conjugates(chain))]
+    m = len(numbers)
     rows, cols, rates = [], [], []
     for i, row in enumerate(chain.matrix):
         for j, rate in row.items():
@@ -548,29 +543,16 @@ def verify_rate_one_over_k(chain: MarkovChain) -> Report:
 
 def verify_conjugation_symmetry(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     """P and pi are invariant under k-conjugation of states."""
-    k = chain.k
-    conj = [chain.index[k_conjugate(s, k)] for s in chain.states]
-    for i, row in enumerate(chain.matrix):
-        mapped = {conj[j]: rate for j, rate in row.items()}
-        if mapped != chain.matrix[conj[i]]:
-            return Report(
-                "conjugation-symmetry",
-                THEOREM,
-                False,
-                {"k": k},
-                {"state": chain.states[i]},
-            )
+    conj = _conjugates(chain)
     nums = pi.numerators
-    for i in range(chain.size):
-        if nums[i] != nums[conj[i]]:
-            return Report(
-                "conjugation-symmetry",
-                THEOREM,
-                False,
-                {"k": k},
-                {"state": chain.states[i]},
-            )
-    return Report("conjugation-symmetry", THEOREM, True, {"k": k})
+    bad = [
+        s
+        for s, row, c in zip(chain.states, chain.matrix, conj)
+        if {conj[j]: rate for j, rate in row.items()} != chain.matrix[c]
+    ]
+    bad += [s for s, num, c in zip(chain.states, nums, conj) if num != nums[c]]
+    witness = {"state": bad[0]} if bad else None
+    return Report("conjugation-symmetry", THEOREM, not bad, {"k": chain.k}, witness)
 
 
 def verify_rho_symmetry(chain: MarkovChain, pi: StationaryDistribution) -> Report:
@@ -588,15 +570,16 @@ def verify_rho_symmetry(chain: MarkovChain, pi: StationaryDistribution) -> Repor
 
 
 def verify_complement(chain: MarkovChain, pi: StationaryDistribution) -> Report:
+    """pi is invariant under complement, l_i -> (k-i) - l_i.
+
+    Complementing maps each factorial-index digit l_i to (k-i) - l_i, so the
+    state at index i has its complement at k! - 1 - i.
+    """
     k = chain.k
     nums = pi.numerators
-    bad = None
-    for s, num in zip(chain.states, nums):
-        comp = complement(s, k)
-        if num != nums[chain.state_index(comp)]:
-            bad = {"state": s, "complement": comp}
-            break
-    return Report("complement-symmetry", CONJECTURE, bad is None, {"k": k}, bad)
+    bad = [s for s, num, comp in zip(chain.states, nums, reversed(nums)) if num != comp]
+    witness = {"state": bad[0], "complement": complement(bad[0], k)} if bad else None
+    return Report("complement-symmetry", CONJECTURE, not bad, {"k": k}, witness)
 
 
 def mk_constant(k: int) -> int:
@@ -627,7 +610,7 @@ def verify_lcd_and_mk(chain: MarkovChain, pi: StationaryDistribution) -> Report:
 def verify_minimum(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     """Minimum value, multiplicity 2^(k-1), and which l-pattern the minimizers fit."""
     k = chain.k
-    predicted = Fraction((k + 1) * _prod_binom(k), mk_constant(k))
+    predicted = Fraction((k + 1) * prod(comb(k, j) for j in range(1, k + 1)), mk_constant(k))
     least = min(pi.numerators)
     mn = Fraction(least, pi.lcd)
     argmin = [s for s, num in zip(chain.states, pi.numerators) if num == least]
@@ -655,13 +638,6 @@ def verify_minimum(chain: MarkovChain, pi: StationaryDistribution) -> Report:
         },
         None if ok else {"minimizers": argmin},
     )
-
-
-def _prod_binom(k: int) -> int:
-    out = 1
-    for j in range(1, k + 1):
-        out *= comb(k, j)
-    return out
 
 
 def verify_position_of_k(chain: MarkovChain, pi: StationaryDistribution) -> Report:
@@ -705,9 +681,9 @@ def verify_rho_conjecture(chain: MarkovChain, pi: StationaryDistribution) -> Rep
 def verify_stationarity_identity(k: int, n: int) -> Report:
     """One-step invariance of the k-Plancherel family on the infinite chain."""
     bad = None
+    prev = k_plancherel(k, 0)
     for m in range(1, n + 1):
         measure = k_plancherel(k, m)
-        prev = k_plancherel(k, m - 1)
         for lam, value in measure.items():
             inflow = sum(
                 (prev[mu] * step_rate(mu, lam, k) for mu in weak_predecessors_bounded(lam, k)),
@@ -718,6 +694,7 @@ def verify_stationarity_identity(k: int, n: int) -> Report:
                 break
         if bad:
             break
+        prev = measure
     return Report(
         "plancherel-one-step-invariance", THEOREM, bad is None, {"k": k, "n": n}, bad
     )

@@ -36,23 +36,28 @@ EXIT_USAGE = 2
 # The k range of each subcommand.  The finite chain and the simulator need
 # k >= 2.  The commands that build the chain, and `dims --all-reduced`, which
 # tabulates all k! reduced states, stop at k = 6 unless --force is given: the
-# k = 7 chain takes minutes to build, the k = 8 one hours.  One partition's
-# `dims` row and the appendix suite, which builds no chain, stay unguarded.
+# k = 7 chain takes minutes to build, the k = 8 one hours.  `tasep` prints a
+# factorial index up to k! - 1, which has 4,300 digits at k = 1558, the most
+# Python converts to a string by default; it has no --force.  One
+# partition's `dims` row and the appendix suite, which builds no chain, stay
+# unguarded.
 LEAST_K = {"dims": 1, "tasep": 1, "chain": 2, "verify": 2, "simulate": 2}
-MOST_K = {"chain": 6, "verify": 6, "simulate": 6, "dims --all-reduced": 6}
+MOST_K = {"chain": 6, "verify": 6, "simulate": 6, "dims --all-reduced": 6, "tasep": 1558}
 
 
-def guard_error(command: str, k: int, force: bool) -> None:
-    """Raise UsageError if ``command`` refuses this k; --force lifts only the upper bound."""
+def guard_error(command: str, k: int, force: bool | None) -> None:
+    """Raise UsageError if ``command`` refuses this k; --force lifts only the upper bound.
+
+    ``force`` is None for a command that has no --force flag.
+    """
     name = command.split()[0]
     least = LEAST_K[name]
     if k < least:
         raise UsageError(f"{name} needs k >= {least}, got k={k}")
     most = MOST_K.get(command)
     if most is not None and k > most and not force:
-        raise UsageError(
-            f"k={k} outside the guarded range {least}..{most} (pass --force to override)"
-        )
+        hint = "" if force is None else " (pass --force to override)"
+        raise UsageError(f"k={k} outside the guarded range {least}..{most}{hint}")
 
 
 @dataclass
@@ -240,8 +245,7 @@ def cmd_simulate(args) -> int:
     _check_output_paths(*config.outputs.values())
     t0 = time.perf_counter()
     result = simulate.run_simulation(config)
-    mc = chain_mod.build_chain(config.k)
-    pi = chain_mod.stationary(mc)
+    mc, pi = _solved_chain(config.k)
     rho = chain_mod.rho_vector(mc, pi)
     deviation = simulate.compare_to_limit(result.boundary, rho)
     written = simulate.write_outputs(result, pi, rho, deviation)
@@ -306,7 +310,7 @@ def appendix_reports(k: int) -> list[Report]:
 
 def cmd_tasep(args) -> int:
     k = args.k
-    guard_error("tasep", k, False)
+    guard_error("tasep", k, None)
     if args.word is not None and args.state is not None:
         raise UsageError("give --word or --state, not both")
     if args.word:

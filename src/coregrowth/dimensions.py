@@ -144,13 +144,11 @@ class _DimTable:
     transpose, so each transposed pair is scanned once and a lookup fills
     the strong-order ideal below its core, that ideal's transpose, and
     nothing else.  ``extend`` fills every core of the levels up to
-    ``level`` with the same ``fill``.  ``complete`` is the highest level
-    whose every core is in ``by_core``.
+    ``level`` with the same ``fill``.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.complete = 0
         self.by_core: dict[Parts, int] = {(): 1}
         self._index: dict[int, list[tuple[int, list[int], list[Parts]]]] = {}
 
@@ -209,11 +207,10 @@ class _DimTable:
 
     def extend(self, level: int) -> None:
         dims = self.by_core
-        for n in range(self.complete + 1, level + 1):
+        for n in range(1, level + 1):
             for kappa in cores_of_level(self.k, n):
                 if kappa not in dims:
                     self.fill(kappa, n)
-        self.complete = max(self.complete, level)
 
 
 def _first_part(parts: Parts) -> int:
@@ -468,27 +465,23 @@ def triangle_determinant(vec) -> Fraction:
     return Fraction(sign * factorial(total) * rows[-1][-1], scale)
 
 
-def triangle_value(vec) -> int:
-    """Full triangle over all entries of ``vec``, by its Jacobi-Trudi determinant."""
-    vec = tuple(vec)
-    value = triangle_determinant(vec)
-    if value.denominator != 1:
-        raise InvariantError(f"triangle determinant of {vec} is not an integer: {value}")
-    return value.numerator
-
-
 def triangle_vanishes(vec, t: int | None = None) -> bool:
     """Whether the triangle evaluation of a non-negative vector is zero.
 
-    The stated vanishing regimes: the truncation is (0, ..., 0, m) with
-    1 <= m <= t, or it is non-zero with i-th entry at most i-1 throughout.
+    The evaluation is the full triangle over all entries of ``vec``, by its
+    Jacobi-Trudi determinant, which must be an integer.  The stated
+    vanishing regimes: the truncation is (0, ..., 0, m) with 1 <= m <= t,
+    or it is non-zero with i-th entry at most i-1 throughout.
     """
     vec = tuple(vec)
     if t is not None and len(vec) != t + 1:
         raise ValueError(f"expected {t + 1} entries, got {len(vec)}")
     if any(v < 0 for v in vec):
         raise ValueError("entries must be non-negative")
-    return triangle_value(vec) == 0
+    value = triangle_determinant(vec)
+    if value.denominator != 1:
+        raise InvariantError(f"triangle determinant of {vec} is not an integer: {value}")
+    return value == 0
 
 
 def long_column_vanishes(parts: Parts, k: int) -> bool:

@@ -19,6 +19,7 @@ multiplicity vector satisfies l_i <= k-i.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import factorial
 from operator import lt
 
@@ -200,19 +201,8 @@ def factorial_index(parts: Parts, k: int) -> int:
 
 @cache
 def enumerate_reduced_states(k: int) -> tuple[Parts, ...]:
-    """All k! reduced states, ordered by factorial index."""
+    """All k! reduced states, ordered by factorial index (l_1 varies slowest)."""
     if k < 1:
         raise ValueError("k must be positive")
-    states: list[Parts] = []
-
-    def fill(i: int, l: list[int]):
-        if i > k:
-            states.append(parts_from_multiplicities(l))
-            return
-        for v in range(k - i + 1):
-            l[i - 1] = v
-            fill(i + 1, l)
-        l[i - 1] = 0
-
-    fill(1, [0] * k)
-    return tuple(states)
+    digits = (range(k - i + 1) for i in range(1, k + 1))  # l_i <= k - i
+    return tuple(map(parts_from_multiplicities, product(*digits)))

@@ -36,28 +36,29 @@ class _Levels:
     """The partitions of each size with parts at most k, and their (k+1)-cores.
 
     Level n lists its partitions by first part, largest first, and
-    ``starts[n][f]`` (1 <= f <= k) is where those with first part at most
-    f begin.  A partition of n with first part f is f on top of a partition
-    of n - f with parts at most f, and those are the tail of level n - f
-    from ``starts[n - f][f]``.  So a loop over levels reads each level off
-    the levels below it, and each core is one ``stack_row`` on the core of
-    its tail partition.
+    ``starts[n][f]`` (1 <= f <= min(k, n)) is where those with first part
+    at most f begin.  A partition of n with first part f is f on top of a
+    partition of n - f with parts at most f, and those are the tail of
+    level n - f from ``starts[n - f][min(f, n - f)]``.  So a loop over
+    levels reads each level off the levels below it, and each core is one
+    ``stack_row`` on the core of its tail partition.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.bounded: list[tuple[Parts, ...]] = [(EMPTY,)]
-        self.starts: list[list[int]] = [[0] * (k + 1)]
+        self.starts: list[list[int]] = [[0]]
         self.cores: list[tuple[Parts, ...]] = [(EMPTY,)]
 
     def bounded_up_to(self, n: int) -> tuple[Parts, ...]:
         k, bounded, starts = self.k, self.bounded, self.starts
         for m in range(len(bounded), n + 1):
             level: list[Parts] = []
-            at = [0] * (k + 1)
+            at = [0] * (min(k, m) + 1)
             for f in range(min(k, m), 0, -1):
                 at[f] = len(level)
-                level += [(f,) + rest for rest in bounded[m - f][starts[m - f][f] :]]
+                tail = starts[m - f][min(f, m - f)]
+                level += [(f,) + rest for rest in bounded[m - f][tail:]]
             bounded.append(tuple(level))
             starts.append(at)
         return bounded[n]
@@ -68,7 +69,7 @@ class _Levels:
         for m in range(len(cores), n + 1):
             level: list[Parts] = []
             for f in range(min(k, m), 0, -1):
-                tail = starts[m - f][f]
+                tail = starts[m - f][min(f, m - f)]
                 level += [
                     stack_row(f, rest, core, k)
                     for rest, core in zip(bounded[m - f][tail:], cores[m - f][tail:])
@@ -136,13 +137,12 @@ def weak_covers_bounded(parts: Parts, k: int) -> list[Parts]:
     parts = check_k_bounded(parts, k)
     conj_self = k_conjugate(parts, k)
     covers = []
-    seen: set[int] = set()
+    # Addable corners sit in rows of distinct lengths, so no column repeats.
     for row, _col in addable_corners(parts):
         if row <= len(parts):
             new_size = parts[row - 1] + 1
-            if new_size > k or new_size in seen:
+            if new_size > k:
                 continue
-            seen.add(new_size)
             mu = parts[: row - 1] + (new_size,) + parts[row:]
         else:
             mu = parts + (1,)

@@ -6,12 +6,13 @@ at small sizes), so a trajectory is simulated in O(1) per step.  The k+1
 labels of the bead classes move as a TASEP on the ring: each move jumps one
 label over its neighbour, and a reduced state's word (``tasep.alpha_inv``)
 fixes where every label sits, up to a rotation of the ring.
-``_sampling_tables`` certifies that ``tasep.jump`` takes each move's state
-word to its target's; words keep k+1 last, so only a jump over k+1 turns
-the ring, by one slot, and the kernel walks the k!-state reduced chain
-alone.  Each draw becomes an exact symbol, its rank among the thresholds of
-all states, and m consecutive symbols one composed symbol, so one table
-lookup takes m steps; per block the loop only draws, walks and counts moves.
+``_sampling_tables`` certifies by ``tasep.verify_tasep_equivalence`` that
+the moves out of each state are the jumps of its word; words keep k+1
+last, so only a jump over k+1 turns the ring, by one slot, and the kernel
+walks the k!-state reduced chain alone.  Each draw becomes an exact
+symbol, its rank among the thresholds of all states, and m consecutive
+symbols one composed symbol, so one table lookup takes m steps; per block
+the loop only draws, walks and counts moves.
 The rectangle ledger, the state occupancy, the per-residue bead frontiers
 of the growing core and the final rotation are linear in those counts and
 are derived from them afterwards.  The core boundary at step n is
@@ -38,14 +39,11 @@ from coregrowth.partitions import (
 )
 from coregrowth.posets import enumerate_bounded
 from coregrowth.reporting import THEOREM, InvariantError, Report, UsageError
-from coregrowth.tasep import alpha_inv, jump
+from coregrowth.tasep import alpha_inv, jump, verify_tasep_equivalence
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: the CLI loads this module eagerly
 
-
-# The name the simulator's callers import; a bad config is a usage error.
-ConfigError = UsageError
 
 OUTPUT_KEYS = {"boundary_csv", "rho_csv", "occupancy_csv", "svg", "report_json"}
 
@@ -156,26 +154,22 @@ class WalkTables(NamedTuple):
 def _sampling_tables(mc: chain_mod.MarkovChain) -> WalkTables:
     """Read each move of the reduced chain off its state's word, into step tables.
 
-    A move grows ``column``: ``tasep.jump`` of that label on the word of its
-    state must give the target's word, or the chain is not the TASEP on its
-    words and ``InvariantError`` is raised.  The tables take the narrowest
-    integer dtypes.
+    Unless ``tasep.verify_tasep_equivalence`` certifies that the moves out of
+    each state are the jumps of its word, ``InvariantError`` is raised.  A
+    move grows ``column``, and ``tasep.jump`` of that label names the label
+    it jumps over.  The tables take the narrowest integer dtypes.
     """
     import numpy as np
 
-    k = mc.k
-    words = [alpha_inv(s, k) for s in mc.states]
+    certificate = verify_tasep_equivalence(mc)
+    if not certificate.passed:
+        raise InvariantError(f"the chain is not a TASEP jump chain: {certificate.witness}")
     moves, cums = [], []
-    for s, (row, word) in enumerate(zip(mc.moves, words)):
+    for state, row in zip(mc.states, mc.moves):
+        word = alpha_inv(state, mc.k)
         for m in row:
-            target = mc.state_index(m.target)
-            hit = jump(word, m.column)
-            if hit is None or hit[1] != words[target]:
-                raise InvariantError(
-                    f"move of label {m.column} from state {s} is not a TASEP jump: it "
-                    f"leaves {hit[1] if hit else word}, not target {target}'s word {words[target]}"
-                )
-            moves.append((target, m.removed or 0, m.column, hit[0]))
+            label = jump(word, m.column)[0]
+            moves.append((mc.state_index(m.target), m.removed or 0, m.column, label))
         cums.append(list(accumulate(float(m.rate) for m in row)))
         cums[-1][-1] = 1.0 + 1e-12  # guard the top bucket
     states = len(cums)

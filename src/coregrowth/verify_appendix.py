@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from coregrowth.dimensions import (
@@ -156,19 +157,8 @@ def _coinciding_rows(mu) -> tuple[int, int] | None:
 
 def _staircase_vectors(t: int, max_entry: int):
     """Non-zero vectors with first entry 0 and i-th entry at most i-1."""
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == t + 1:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        i = len(prefix) + 1
-        for v in range(0, min(i - 1, max_entry) + 1):
-            rec(prefix + [v])
-
-    rec([0] if t >= 0 else [])
-    return out
+    entries = (range(min(i, max_entry) + 1) for i in range(t + 1))
+    return [vec for vec in product(*entries) if any(vec)]
 
 
 def verify_long_columns(max_k: int) -> Report:

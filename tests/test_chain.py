@@ -34,7 +34,7 @@ from coregrowth.chain import (
     verify_stationarity_identity,
 )
 from coregrowth.dimensions import hook_dim
-from coregrowth.partitions import EMPTY, factorial_index
+from coregrowth.partitions import EMPTY, complement, factorial_index, k_conjugate
 from coregrowth.reporting import InvariantError
 
 import oracles
@@ -175,6 +175,24 @@ def test_conjecture_verifiers(chain3, chain4):
         assert verify_complement(mc, pi).passed
         assert verify_lcd_and_mk(mc, pi).passed
         assert verify_position_of_k(mc, pi).passed
+
+
+def test_symmetry_verifiers_name_the_first_asymmetric_state(chain4):
+    """pi moved at one state fails both verifiers at the first of it and its partner."""
+    mc, pi = chain4
+    s = (2, 1, 1)
+    i = mc.state_index(s)
+    conj = mc.state_index(k_conjugate(s, 4))
+    assert conj != i
+    values = list(pi.values)
+    values[i] += 1
+    skewed = chain_mod.StationaryDistribution(mc, values)
+    report = verify_complement(mc, skewed)
+    first = mc.states[min(i, len(values) - 1 - i)]
+    assert not report.passed
+    assert report.witness == {"state": first, "complement": complement(first, 4)}
+    report = verify_conjugation_symmetry(mc, skewed)
+    assert not report.passed and report.witness == {"state": mc.states[min(i, conj)]}
 
 
 def test_minimum_verifier(chain3, chain4):

@@ -3,7 +3,9 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,9 @@ from coregrowth import cli, dimensions, posets
 from coregrowth.cli import build_parser, guard_error, main, parse_partition
 from coregrowth.reporting import InvariantError, UsageError
 from coregrowth.simulate import SimConfig
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*argv):
@@ -64,6 +69,28 @@ def test_dims_of_a_long_partition_keeps_the_stack_flat(capsys, monkeypatch):
     assert "w<=d<=d^(k)" in capsys.readouterr().out
 
 
+def test_dims_memory_does_not_grow_with_k():
+    """One partition's row costs what the partition needs, not what k allows.
+
+    Run under a 512 MB address-space cap; at k = 10^9 one list per level as
+    long as k would need 8 GB.
+    """
+    def dims(k, cap):
+        return subprocess.run(
+            [sys.executable, "-m", "coregrowth.cli", "dims", "--k", k, "1"],
+            env=dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", "")),
+            preexec_fn=cap,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    capped = dims("1000000000", lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20,) * 2))
+    plain = dims("1", None)
+    assert capped.returncode == plain.returncode == 0, capped.stderr
+    assert capped.stdout == plain.stdout
+
+
 def test_dims_all_reduced(capsys):
     assert run_cli("dims", "--k", "3", "--all-reduced") == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 7
@@ -98,6 +125,10 @@ def test_force_lifts_the_k_guard(capsys):
         assert guard_error(args.command, args.k, args.force) is None
     assert guard_error("dims", 9, False) is None
     assert guard_error("tasep", 9, False) is None
+    # tasep has no --force, so its refusal offers none
+    assert guard_error("tasep", 1558, None) is None
+    with pytest.raises(UsageError, match=r"guarded range 1\.\.1558$"):
+        guard_error("tasep", 1559, None)
     # dims tabulating all k! reduced states is guarded; one partition is not
     args = parser.parse_args(["dims", "--k", "7", "--all-reduced"])
     with pytest.raises(UsageError, match=r"guarded range 1\.\.6"):
@@ -128,6 +159,9 @@ def test_tasep_command(capsys):
     assert run_cli("tasep", "--k", "3", "--state", "1") == 0
     out = capsys.readouterr().out
     assert "2-3-1-4" in out
+    # At the bound every factorial index up to 1558! - 1 still prints.
+    assert run_cli("tasep", "--k", "1558", "--state", "1") == 0
+    assert f"factorial index {math.factorial(1557)}\n" in capsys.readouterr().out
 
 
 def test_tasep_malformed(capsys):
@@ -254,9 +288,8 @@ def test_main_limits_blas_threads_unless_set(preset, expected):
         "assert main(['tasep', '--k', '2', '--word', '1-2-3']) == 0\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run(
@@ -270,8 +303,7 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     """Commands that need no numpy start without it.  perfbench's ``setup_s``,
     spawn to ``coregrowth.cli`` imported, times this import on every workload."""
     script = "import sys\nimport coregrowth.cli\nprint('numpy' in sys.modules)\n"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
@@ -331,6 +363,7 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["dims", "--k", "3", "2,,1"],
         ["dims", "--k", "3", "[[2]]"],
         ["tasep", "--k", "3", "--state", "2,,1"],
+        ["tasep", "--k", "1560", "--state", "1"],
         ["chain", "--k", "3", "--csv", "."],
         ["chain", "--k", "3", "--json", "nodir/c.json"],
         ["chain", "--k", "3", "--csv", ""],
@@ -343,8 +376,7 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
     ids=" ".join,
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     (tmp_path / "c.json").write_text('{"k": 3, "n": 1000}')  # a config that runs
     (tmp_path / "o.json").write_text('{"k": 3, "n": 100000, "outputs": {"rho_csv": "nodir/r.csv"}}')
     proc = subprocess.run(

@@ -24,7 +24,6 @@ from coregrowth.dimensions import (
     triangle_determinant,
     triangle_expand_intervals,
     triangle_expand_naive,
-    triangle_value,
     triangle_vanishes,
 )
 from coregrowth.partitions import (
@@ -341,12 +340,15 @@ def test_triangle_determinant_matches_inversions(monkeypatch):
     for vec in vectors + seen:
         expected = evaluate_displacements(inversions[len(vec)], vec)
         assert triangle_determinant(vec) == expected
-        assert triangle_value(vec) == expected
+        if min(vec) >= 0:
+            assert triangle_vanishes(vec) == (expected == 0)
     with pytest.raises(ValueError):
-        triangle_value(())
+        triangle_determinant(())
+    with pytest.raises(ValueError):
+        triangle_vanishes(())
     monkeypatch.setattr(dimensions, "triangle_determinant", lambda vec: Fraction(1, 2))
     with pytest.raises(InvariantError):
-        triangle_value((1, 2))
+        triangle_vanishes((1, 2))
 
 
 @pytest.mark.parametrize(
@@ -404,7 +406,8 @@ def test_triangle_vanishing_base_cases():
     for c in range(0, 5):
         assert triangle_vanishes((c, c + 1), 1)
     assert triangle_vanishes((5, 5, 5, 7), 3)
-    assert triangle_value((5, 5, 5, 5)) != 0
+    assert triangle_determinant((5, 5, 5, 5)) != 0
+    assert not triangle_vanishes((5, 5, 5, 5), 3)
     with pytest.raises(ValueError):
         triangle_vanishes((1, 2), 3)
 

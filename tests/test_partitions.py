@@ -241,6 +241,13 @@ def test_complement_involution_no_fixed_points():
             assert complement(s, k) != s
 
 
+def test_complement_reverses_the_factorial_index():
+    for k in range(1, 8):
+        states = enumerate_reduced_states(k)
+        for i, s in enumerate(states):
+            assert complement(s, k) == states[len(states) - 1 - i]
+
+
 def test_enumerate_reduced_states():
     assert set(enumerate_reduced_states(3)) == {
         EMPTY,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coregrowth import simulate
+from coregrowth import simulate, tasep
 from coregrowth import chain as chain_mod
 from coregrowth.chain import MarkovChain, build_chain, rho_vector, stationary
 from coregrowth.partitions import (
@@ -24,10 +24,9 @@ from coregrowth.partitions import (
     parts_from_multiplicities,
     rectangle_area,
 )
-from coregrowth.reporting import InvariantError
+from coregrowth.reporting import InvariantError, UsageError
 from coregrowth.simulate import (
     BLOCK,
-    ConfigError,
     SimConfig,
     boundary_csv,
     compare_to_limit,
@@ -265,6 +264,24 @@ def test_tampered_target_raises():
                 simulate._sampling_tables(tampered)
 
 
+def test_a_missing_jump_raises():
+    """A chain that lacks one admissible jump of a state's word is not the TASEP."""
+    mc = build_chain(3)
+    s = next(s for s, row in enumerate(mc.moves) if len(row) > 1)
+    moves = [list(row) for row in mc.moves]
+    del moves[s][0]
+    with pytest.raises(InvariantError, match="not a TASEP jump"):
+        simulate._sampling_tables(MarkovChain(mc.k, mc.states, moves, mc.matrix))
+
+
+def test_a_word_map_that_merges_states_raises(monkeypatch):
+    """Targets compare by word only while ``alpha_inv`` tells the states apart."""
+    mc = build_chain(3)
+    monkeypatch.setattr(tasep, "alpha_inv", lambda parts, k: tuple(range(1, k + 2)))
+    with pytest.raises(InvariantError, match="not a TASEP jump"):
+        simulate._sampling_tables(mc)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_symbols_pick_the_bisect_move_of_every_state(k):
     """At every break, just below it, at 0 and on random draws, the one
@@ -312,31 +329,31 @@ def test_composed_table_is_m_single_steps_within_the_cap(k):
 def test_config_parsing():
     cfg = SimConfig.from_json('{"k": 3, "n": 100, "seed": 5}')
     assert (cfg.k, cfg.n, cfg.seed) == (3, 100, 5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json('{"k": 3}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json('{"k": 1, "n": 10}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json('{"k": 3, "n": 10, "outputs": {"bogus": "x"}}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json("not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json('{"k": "three", "n": 10}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json('{"k": 3, "n": 10, "outputs": {"svg": 5}}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig(k=2, n=0).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         SimConfig.from_json('{"k": 3, "n": 10, "seed": -1}')
     # a float, bool or string integer field is refused, never coerced
     for value in (3.0, True, "3"):
         for key in ("k", "n", "seed", "checkpoint_every", "boundary_samples"):
             obj = {"k": 3, "n": 10, key: value}
-            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            with pytest.raises(UsageError, match=f"{key} must be an integer"):
                 SimConfig.from_dict(obj)
-            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            with pytest.raises(UsageError, match=f"{key} must be an integer"):
                 SimConfig(**obj).validate()
-    with pytest.raises(ConfigError, match="outputs must map"):
+    with pytest.raises(UsageError, match="outputs must map"):
         SimConfig.from_json('{"k": 3, "n": 10, "outputs": 5}')
 
 
