@@ -3,30 +3,31 @@
 States are the reduced k-bounded partitions.  ``growth_steps`` is the one
 growth-step rule, from any k-bounded partition: grow one column (a weak
 cover), keep every multiplicity l_i mod (k-i+1) (which deletes the full
-k-rectangles), name the type whose ledger count rose, and take the rate
-d(cover) / ((n+1) d(state)) from the dimension table.  ``build_chain``
-reads the steps out of each reduced state and certifies, in integers, that
-each row sums to one, and that each move conserves boxes (the target holds
-one box more than its state, less the deleted rectangle) and lands on a
-reduced state; it raises ``InvariantError`` otherwise.  It assembles each k
-once per process: every later call returns the same frozen
+k-rectangles, ``step_target``), name the type whose ledger count rose, and
+take the rate d(cover) / ((n+1) d(state)) from the dimension table.
+``build_chain`` reads the steps out of each reduced state and certifies, in
+integers, that each row sums to one, and that each move conserves boxes (the
+target holds one box more than its state, less the deleted rectangle) and
+lands on a reduced state; it raises ``InvariantError`` otherwise.  It
+assembles each k once per process: every later call returns the same frozen
 ``MarkovChain``, whose ``index`` maps each state to its position in
 ``states`` (factorial-index order), so state lookups cost one dict probe.
 The TASEP verifiers and the simulator read the moves from the built chain.
 
-``stationary`` finds pi with pi P = pi in three steps.  A float64 solve of
-the normalized system lumped over k-conjugation orbits proposes y; the
-candidate is round(y_i M_k) / M_k, with M_k = prod_j C(2j, j) the
-conjectured common denominator.  The exact check ``_verify_stationary`` (pi
-sums to one, is positive, and pi P = pi over the rationals, computed in
-integers) is the certificate: only a vector that passes it is returned.  A
-rejected or non-finite candidate costs time, never correctness: the exact
-fallback then solves the system modulo several word-sized primes, combines
-the residues by CRT and rationally reconstructs pi, adding primes until the
-reconstruction passes the same check.  Dense rational Gaussian elimination
-(``_solve_fraction_gauss``) is kept only as the reference that the tests
-compare the CRT solve against.  ``StationaryDistribution`` keeps lcd(pi)
-and the integer numerators pi_i lcd, which the verifiers sum and compare.
+``stationary`` finds pi with pi P = pi in two steps.  The closed form
+pi(s) = D(s) D(s^c) / Z, with D(lam) = d(lam) / |lam|! and s^c the
+complement of s, proposes the candidate, computed in integers from the
+dimensions the chain was built from (a conjecture, see the README).  The
+exact check ``_verify_stationary`` (pi sums to one, is positive, and
+pi P = pi over the rationals, computed in integers) is the certificate: only
+a vector that passes it is returned.  A rejected candidate costs time, never
+correctness: the exact fallback then solves the system modulo several
+word-sized primes, combines the residues by CRT and rationally reconstructs
+pi, adding primes until the reconstruction passes the same check.  Dense
+rational Gaussian elimination (``_solve_fraction_gauss``) is kept only as
+the reference that the tests compare both against.
+``StationaryDistribution`` keeps lcd(pi) and the integer numerators
+pi_i lcd, which the verifiers sum and compare.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def step_rate(src: Parts, cover: Parts, k: int) -> Fraction:
     return Fraction(dimensions.strong_dim_tableaux(cover, k), _rate_denominator(src, k))
 
 
-def _step_target(l: tuple[int, ...], column: int, k: int) -> tuple[Parts, int | None]:
+def step_target(l: tuple[int, ...], column: int, k: int) -> tuple[Parts, int | None]:
     """The reduced target of growing ``column`` on multiplicities l, and the type it completes.
 
     Growing column c moves one part from size c-1 to size c (c = 1 adds a
@@ -155,7 +156,7 @@ def _step_target(l: tuple[int, ...], column: int, k: int) -> tuple[Parts, int | 
 def growth_steps(parts: Parts, k: int) -> list[Move]:
     """One ``Move`` per weak cover of a k-bounded partition.
 
-    The column is the one the cover grew, and ``_step_target`` reads the
+    The column is the one the cover grew, and ``step_target`` reads the
     target and the completed rectangle type off the multiplicity vector,
     with no rectangle deletion per cover.  Every rate shares the
     denominator (|parts| + 1) d(parts).
@@ -165,7 +166,7 @@ def growth_steps(parts: Parts, k: int) -> list[Move]:
     out = []
     for cover in weak_covers_bounded(parts, k):
         column = grown_column(parts, cover)
-        target, removed = _step_target(l, column, k)
+        target, removed = step_target(l, column, k)
         rate = Fraction(dimensions.strong_dim_tableaux(cover, k), denominator)
         out.append(Move(column, target, removed, rate))
     return out
@@ -272,7 +273,8 @@ def _solve_fraction_gauss(chain: MarkovChain) -> list[Fraction]:
     """Dense exact elimination of the normalized stationary system.
 
     Not called by ``stationary``: the tests use it as the independent
-    reference that ``_solve_crt`` must reproduce.
+    reference that the closed-form candidate and ``_solve_crt`` must
+    reproduce.
     """
     n = chain.size
     a = [[Fraction(0)] * (n + 1) for _ in range(n)]
@@ -419,61 +421,36 @@ def _conjugates(chain: MarkovChain) -> list[int]:
     return [chain.index[k_conjugate(s, chain.k)] for s in chain.states]
 
 
-def _float_candidate(chain: MarkovChain) -> list[Fraction] | None:
-    """round(y M_k) / M_k for the float64 solution y of the lumped normalized system.
+def _closed_form_candidate(chain: MarkovChain) -> list[Fraction]:
+    """pi(s) = D(s) D(s^c) / Z with D(lam) = d(lam) / |lam|!, in integers.
 
-    P commutes with k-conjugation of states (the conjugation-symmetry
-    theorem), so pi is constant on each orbit {s, s^*}: the unknowns are
-    y_o, pi of any state of orbit o, about k!/2 of them for k! states.  Row
-    o sums the balance of the orbit's states, sum_i P_ij y_orbit(i) =
-    |o| y_o over j in o; row 0 (the orbit of the empty state) is instead
-    the normalization sum_o |o| y_o = 1.  The system is built straight from
-    the sparse rows.  Only a candidate: were the symmetry broken, the exact
-    check would reject it and the exact fallback would run.  None when the
-    solve fails or is not finite.
+    A state and its complement s^c together hold l_i = k - i parts of each
+    size i, so |s| + |s^c| = C(k+1, 3) = N for every state, and N! D(s)
+    D(s^c) is the integer C(N, |s|) d(s) d(s^c).  The complement of the
+    state at factorial index i is the one at k! - 1 - i.  Every d is an entry
+    the chain's rates already read from the dimension table.
     """
-    import numpy as np
-
-    # Orbits are numbered in order of their first states.
-    numbers: dict[int, int] = {}
-    orbit = [numbers.setdefault(min(i, j), len(numbers)) for i, j in enumerate(_conjugates(chain))]
-    m = len(numbers)
-    rows, cols, rates = [], [], []
-    for i, row in enumerate(chain.matrix):
-        for j, rate in row.items():
-            rows.append(orbit[j])
-            cols.append(orbit[i])
-            rates.append(float(rate))
-    a = np.zeros((m, m))
-    np.add.at(a, (rows, cols), rates)
-    sizes = np.bincount(orbit, minlength=m)
-    a[np.diag_indices(m)] -= sizes
-    a[0] = sizes
-    b = np.zeros(m)
-    b[0] = 1.0
-    try:
-        y = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    mk = mk_constant(chain.k)
-    scaled = np.rint(y * float(mk))
-    if not np.isfinite(scaled).all():
-        return None
-    values = [Fraction(int(v), mk) for v in scaled]
-    return [values[o] for o in orbit]
+    k = chain.k
+    total = comb(k + 1, 3)
+    dims = [dimensions.strong_dim_tableaux(s, k) for s in chain.states]
+    weights = [
+        comb(total, sum(s)) * d * d_comp
+        for s, d, d_comp in zip(chain.states, dims, reversed(dims))
+    ]
+    z = sum(weights)
+    return [Fraction(w, z) for w in weights]
 
 
 def stationary(chain: MarkovChain) -> StationaryDistribution:
     """Exact stationary distribution, certified by direct multiplication."""
     if not is_irreducible(chain):
         raise InvariantError("chain is not irreducible")
-    candidate = _float_candidate(chain)
-    if candidate is not None:
-        try:
-            _verify_stationary(chain, candidate)
-            return StationaryDistribution(chain, candidate)
-        except InvariantError:
-            pass  # a wrong candidate costs time only: solve exactly
+    candidate = _closed_form_candidate(chain)
+    try:
+        _verify_stationary(chain, candidate)
+        return StationaryDistribution(chain, candidate)
+    except InvariantError:
+        pass  # a wrong candidate costs time only: solve exactly
     return StationaryDistribution(chain, _solve_crt(chain))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,16 +34,50 @@ EXIT_OK = 0
 EXIT_HARD_FAIL = 1
 EXIT_USAGE = 2
 
+
+def _most_printable_k(digits: int) -> int | None:
+    """The largest k whose factorial indices, up to k! - 1, have at most ``digits`` digits.
+
+    None for ``digits`` 0, which is Python's "no limit".  Every command
+    imports this module, so the search is kept cheap (a tenth of the time
+    of building up k! one factor at a time): a bisection on
+    ln k! = lgamma(k + 1) finds k up to float rounding, which exact
+    comparisons of k! with 10^digits then settle.  k! > 10^k from k = 25 on,
+    so the answer lies below max(digits, 25).
+    """
+    if not digits:
+        return None
+    low, high = 1, max(digits, 25)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if math.lgamma(mid + 1) < digits * math.log(10):
+            low = mid
+        else:
+            high = mid
+    bound = 10**digits
+    while math.factorial(low + 1) < bound:
+        low += 1
+    while math.factorial(low) >= bound:
+        low -= 1
+    return low
+
+
 # The k range of each subcommand.  The finite chain and the simulator need
 # k >= 2.  The commands that build the chain, and `dims --all-reduced`, which
 # tabulates all k! reduced states, stop at k = 6 unless --force is given: the
 # k = 7 chain takes minutes to build, the k = 8 one hours.  `tasep` prints a
-# factorial index up to k! - 1, which has 4,300 digits at k = 1558, the most
-# Python converts to a string by default; it has no --force.  One
-# partition's `dims` row and the appendix suite, which builds no chain, stay
-# unguarded.
+# factorial index up to k! - 1, so it stops where that index has more digits
+# than Python converts to a string (k = 1558 at the default limit of 4,300
+# digits, none under a limit of 0); it has no --force.  One partition's
+# `dims` row and the appendix suite, which builds no chain, stay unguarded.
 LEAST_K = {"dims": 1, "tasep": 1, "chain": 2, "verify": 2, "simulate": 2}
-MOST_K = {"chain": 6, "verify": 6, "simulate": 6, "dims --all-reduced": 6, "tasep": 1558}
+MOST_K = {
+    "chain": 6,
+    "verify": 6,
+    "simulate": 6,
+    "dims --all-reduced": 6,
+    "tasep": _most_printable_k(sys.get_int_max_str_digits()),
+}
 
 
 def guard_error(command: str, k: int, force: bool | None) -> None:
@@ -323,14 +358,14 @@ def cmd_tasep(args) -> int:
         word = tasep.alpha_inv(state, k)
     else:
         raise UsageError("provide --word or --state")
-    print(f"state {_name(state)}   l = {multiplicities(state, k)}")
+    l = multiplicities(state, k)
+    print(f"state {_name(state)}   l = {l}")
     print(f"word  {tasep.word_to_string(word)}")
     print(f"factorial index {factorial_index(state, k)}")
+    # By the TASEP equivalence, the jump of a value grows that column.
     for value, moved in tasep.jumps(word):
-        print(
-            f"jump of {value}: {tasep.word_to_string(moved)}  "
-            f"-> column {value}, state {_name(tasep.alpha(moved))}"
-        )
+        target = chain_mod.step_target(l, value, k)[0]
+        print(f"jump of {value}: {tasep.word_to_string(moved)}  -> column {value}, state {_name(target)}")
     return EXIT_OK
 
 
@@ -385,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # A multi-threaded BLAS makes the small float solve in chain.stationary
-    # tens of times slower on a few cores; a value the user set still wins.
+    # numpy runs only the simulator and the modular fallback of
+    # chain.stationary, both on small arrays, where a multi-threaded BLAS
+    # has cost more than it saved; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()

@@ -336,13 +336,6 @@ def _assert_conserved(n: int, reduced_size: int, ledger, k: int) -> None:
         raise InvariantError(f"box conservation violated: {total} != {n}")
 
 
-def spawn_seeds(seed: int, trajectories: int) -> list[int]:
-    """Independent child seeds for parallel trajectories."""
-    import numpy as np
-
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trajectories)]
-
-
 # --- core boundaries ----------------------------------------------------------
 
 def boundary_from_frontiers(frontiers, k: int, n: int, samples: int) -> list[tuple[float, float]]:

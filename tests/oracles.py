@@ -47,29 +47,6 @@ def core_to_bounded(parts: Parts, k: int) -> Parts:
     )
 
 
-def dense_float_candidate(chain) -> list[Fraction]:
-    """round(x M_k) / M_k for the float64 solve of the full normalized system.
-
-    Row 0 is sum pi = 1 and row j >= 1 the balance of state j, P^T - I: one
-    unknown per state, no use of the conjugation symmetry.
-    """
-    import numpy as np
-
-    from coregrowth.chain import mk_constant
-
-    n = chain.size
-    a = np.zeros((n, n))
-    for i, row in enumerate(chain.matrix):
-        for j, rate in row.items():
-            a[j, i] += float(rate)
-    a -= np.eye(n)
-    a[0] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    mk = mk_constant(chain.k)
-    return [Fraction(int(v), mk) for v in np.rint(np.linalg.solve(a, b) * float(mk))]
-
-
 def growth_step_fields(parts: Parts, cover: Parts, k: int) -> tuple[int, Parts, int | None]:
     """(column, target, removed) of the step to ``cover``, by deleting the cover's rectangles.
 

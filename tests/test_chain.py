@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 from fractions import Fraction
@@ -10,7 +11,7 @@ from coregrowth import chain as chain_mod
 from coregrowth import cli
 from coregrowth.chain import (
     MarkovChain,
-    _float_candidate,
+    _closed_form_candidate,
     _solve_crt,
     _solve_fraction_gauss,
     build_chain,
@@ -33,8 +34,9 @@ from coregrowth.chain import (
     verify_rho_symmetry,
     verify_stationarity_identity,
 )
-from coregrowth.dimensions import hook_dim
+from coregrowth.dimensions import hook_dim, strong_dim_tableaux
 from coregrowth.partitions import EMPTY, complement, factorial_index, k_conjugate
+from coregrowth.posets import enumerate_bounded
 from coregrowth.reporting import InvariantError
 
 import oracles
@@ -241,11 +243,42 @@ def test_normalization():
     assert verify_normalization(4, 8).passed
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_stationarity_identity_checks_exactly_levels_one_to_n(monkeypatch, level):
+    """A rate made wrong into the partitions of size ``level`` fails the check iff 1 <= level <= 4."""
+    rate = chain_mod.step_rate
+    monkeypatch.setattr(
+        chain_mod,
+        "step_rate",
+        lambda src, cover, k: rate(src, cover, k) * (2 if sum(cover) == level else 1),
+    )
+    report = verify_stationarity_identity(3, 4)
+    assert report.passed == (not 1 <= level <= 4)
+    assert report.witness is None or report.witness["n"] == level
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_normalization_checks_exactly_levels_one_to_n_max(monkeypatch, level):
+    """A weak count made wrong on the partitions of size ``level`` fails the check iff 1 <= level <= 5."""
+    count = chain_mod.weak_dim
+    monkeypatch.setattr(
+        chain_mod, "weak_dim", lambda lam, k: count(lam, k) + (sum(lam) == level)
+    )
+    report = verify_normalization(3, 5)
+    assert report.passed == (not 1 <= level <= 5)
+    assert report.witness is None or report.witness["n"] == level
+
+
+@functools.cache
+def gauss_pi(k: int) -> list[Fraction]:
+    """The reference pi of the k chain, by dense exact elimination (2 s at k = 5)."""
+    return _solve_fraction_gauss(build_chain(k))
+
+
 def test_crt_solver_matches_gauss():
     # Gauss is the oracle: the CRT solve is the only exact fallback.
     for k in (2, 3, 4, 5):
-        mc = build_chain(k)
-        assert _solve_crt(mc) == _solve_fraction_gauss(mc)
+        assert _solve_crt(build_chain(k)) == gauss_pi(k)
 
 
 def test_chain_json_and_csv(chain3):
@@ -378,7 +411,6 @@ def record_certificates(monkeypatch) -> list:
 def test_certified_candidate_equals_exact_solve(k, exact, monkeypatch):
     mc = build_chain(k)
     expected = exact(mc)
-    assert _float_candidate(mc) == expected
     # stationary accepts the candidate on the first certificate, with no exact solve
     calls = record_certificates(monkeypatch)
     monkeypatch.setattr(chain_mod, "_solve_crt", None)
@@ -386,54 +418,66 @@ def test_certified_candidate_equals_exact_solve(k, exact, monkeypatch):
     assert calls == [expected]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_wrong_scale_candidate_falls_back(monkeypatch, k):
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_closed_form_equals_the_gauss_solve(k):
+    """pi(s) = D(s) D(s^c) / Z with D(lam) = d(lam) / |lam|!, stated with Fractions."""
     mc = build_chain(k)
-    exact = _solve_fraction_gauss(mc)
-    monkeypatch.setattr(chain_mod, "_solve_fraction_gauss", None)  # not a fallback
-    calls = record_certificates(monkeypatch)
-    monkeypatch.setattr(chain_mod, "mk_constant", lambda k: 7)
-    assert stationary(mc).values == exact
-    assert all(v.denominator in (1, 7) for v in calls[0]) and calls[0] != exact  # rejected
-    assert calls[-1] == exact  # the CRT solve's reconstruction, certified
+
+    def big_d(parts):
+        return Fraction(strong_dim_tableaux(parts, k), factorial(sum(parts)))
+
+    weights = [big_d(s) * big_d(complement(s, k)) for s in mc.states]
+    z = sum(weights)
+    expected = gauss_pi(k)
+    assert [w / z for w in weights] == expected
+    assert _closed_form_candidate(mc) == expected
 
 
-@pytest.mark.parametrize("k", range(2, 7))
-def test_lumped_candidate_equals_the_dense_one(k):
-    """Solving one unknown per k-conjugation orbit proposes the same vector."""
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_dimensions_factor_over_a_rectangle(k):
+    """d(lam u R_i) = C(|lam| + |R_i|, |R_i|) d(lam) d(R_i), the k-rectangle property.
+
+    For every type i and every k-bounded lam of size at most 8.
+    """
+    cases = 0
+    for i in range(1, k + 1):
+        rect = oracles.rectangle(i, k)
+        area, d_rect = sum(rect), strong_dim_tableaux(rect, k)
+        for n in range(9):
+            for lam in enumerate_bounded(k, n):
+                union = tuple(sorted(lam + rect, reverse=True))
+                product = comb(n + area, area) * strong_dim_tableaux(lam, k) * d_rect
+                assert strong_dim_tableaux(union, k) == product, (lam, i)
+                cases += 1
+    assert cases == {2: 50, 3: 123, 4: 212, 5: 300}[k]  # 685 in all
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_complement_reverses_every_move(k):
+    """s -> t grows column c and removes type r exactly when t^c -> s^c does."""
     mc = build_chain(k)
-    assert _float_candidate(mc) == oracles.dense_float_candidate(mc)
+    comp = [mc.index[complement(s, k)] for s in mc.states]
+    assert comp == list(reversed(range(mc.size)))
+    moves = {(i, mc.index[m.target], m.column, m.removed) for i, ms in enumerate(mc.moves) for m in ms}
+    assert {(comp[j], comp[i], c, r) for i, j, c, r in moves} == moves
 
 
 def test_a_chain_without_the_conjugation_symmetry_falls_back(monkeypatch):
-    """The lumped candidate of an asymmetric P is rejected; the exact fallback certifies pi."""
+    """The closed form of a chain that is not this one is rejected; the CRT solve certifies pi."""
     mc = build_chain(3)
     matrix = [dict(row) for row in mc.matrix]
     src, two, one_one = (mc.state_index(s) for s in ((1,), (2,), (1, 1)))
     assert matrix[src] == {two: Fraction(1, 2), one_one: Fraction(1, 2)}  # (1,) is self-conjugate
     matrix[src] = {two: Fraction(1, 3), one_one: Fraction(2, 3)}
     skewed = MarkovChain(mc.k, mc.states, mc.moves, matrix)
-    assert not verify_conjugation_symmetry(skewed, stationary(mc)).passed
+    pi = stationary(mc)
+    assert not verify_conjugation_symmetry(skewed, pi).passed
     exact = _solve_fraction_gauss(skewed)
     calls = record_certificates(monkeypatch)
+    solved = []
+    crt = chain_mod._solve_crt
+    monkeypatch.setattr(chain_mod, "_solve_crt", lambda c: solved.append(c) or crt(c))
     assert stationary(skewed).values == exact
-    assert calls[0] == _float_candidate(skewed) != exact  # rejected
-    assert calls[-1] == exact
-
-
-@pytest.mark.parametrize("failure", ["singular", "nan"])
-def test_failed_float_solve_falls_back(chain4, monkeypatch, failure):
-    import numpy as np
-
-    def solve(a, b):
-        if failure == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        return np.full(len(b), np.nan)
-
-    mc, pi = chain4
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    assert _float_candidate(mc) is None
-    calls = record_certificates(monkeypatch)
-    assert stationary(mc).values == pi.values
-    assert calls == [pi.values]
-
+    assert calls[0] == _closed_form_candidate(skewed) == pi.values != exact  # rejected
+    assert solved == [skewed]
+    assert calls[-1] == exact  # the CRT solve's reconstruction, certified

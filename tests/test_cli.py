@@ -311,6 +311,49 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_the_exact_commands_run_without_numpy():
+    """``chain`` and ``verify`` certify the closed-form pi, and only the CRT fallback needs numpy."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from coregrowth.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['chain', '--k', '4']), main(['verify', '--k', '3', '--suite', 'all'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
+
+
+def test_tasep_bound_is_the_last_k_whose_indices_print():
+    for digits in (1, 2, 24, 25, 26, 640, 641, 1000, 4300, 20000):
+        k = cli._most_printable_k(digits)
+        assert math.factorial(k) < 10**digits <= math.factorial(k + 1), digits
+    assert cli._most_printable_k(4300) == cli.MOST_K["tasep"] == 1558
+    assert cli._most_printable_k(0) is None
+
+
+def test_tasep_bound_follows_the_int_string_limit():
+    """Under a lower digit limit, a factorial index too long to print is refused up front."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env["PYTHONINTMAXSTRDIGITS"] = "640"
+    argv = [sys.executable, "-m", "coregrowth.cli", "tasep", "--k"]
+    proc = subprocess.run(
+        [*argv, "500", "--state", "1"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: k=500 outside the guarded range 1..310\n"
+    # 310 is the largest k whose index k! - 1 has at most 640 digits
+    proc = subprocess.run(
+        [*argv, "310", "--state", "1"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"factorial index {math.factorial(309)}\n" in proc.stdout
+
+
 def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
     """The run and the pi solve each call ``build_chain``, and get the one memoised
     chain; the occupancy CSV calls it not at all."""

@@ -13,9 +13,8 @@ PACKAGE = Path(coregrowth.__file__).resolve().parent
 
 # Functions that may wait for a caller, with the reason.
 ALLOWED = {
-    "simulate.spawn_seeds": "ROADMAP item 7",
     "dimensions.strong_dim_raising": "the independent second dimension engine (aim 2)",
-    "chain._solve_fraction_gauss": "the tests' oracle and a perfbench probe (ROADMAP items 3 and 5)",
+    "chain._solve_fraction_gauss": "the tests' oracle and a perfbench probe (ROADMAP item 5)",
 }
 
 

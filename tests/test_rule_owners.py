@@ -7,7 +7,9 @@ growth step, so only ``chain`` names ``weak_covers_bounded`` and
 re-exports of ``__init__``.  ``partitions.stack_row`` is the push-right
 rule from a bounded partition to its core: ``partitions`` folds it into
 ``bounded_to_core`` and ``posets`` stacks each level of cores with it, and
-no other module has a copy.
+no other module has a copy.  ``chain.step_target`` is the one rule for the
+reduced target of a growth step, which ``chain`` applies to every cover and
+``cli`` to every TASEP jump that ``tasep`` prints.
 """
 
 import ast
@@ -22,6 +24,7 @@ OWNERS = {
     "weak_covers_bounded": {"chain", "posets", "__init__"},
     "grown_column": {"chain", "posets", "__init__"},
     "stack_row": {"partitions", "posets", "__init__"},
+    "step_target": {"chain", "cli"},
 }
 
 
@@ -48,6 +51,7 @@ def test_detector_sees_every_kind_of_name():
         "dimensions.dimension_table(3, 4)\n"
         "weak_covers_bounded\n"
         "partitions.stack_row\n"
+        "from coregrowth.chain import step_target\n"
         "def growth_steps():\n    pass\n"
     )
     assert names_in(source) & OWNERS.keys() == set(OWNERS)

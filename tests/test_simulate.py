@@ -36,7 +36,6 @@ from coregrowth.simulate import (
     overlay_svg,
     rho_csv,
     run_simulation,
-    spawn_seeds,
     verify_projection,
     write_outputs,
 )
@@ -582,11 +581,6 @@ def test_two_seeds_agree_at_scale():
 
     gap = np.max(np.abs(interp(a.boundary, xs) - interp(b.boundary, xs)))
     assert gap < 0.05
-
-
-def test_spawn_seeds_distinct():
-    seeds = spawn_seeds(0, 4)
-    assert len(set(seeds)) == 4
 
 
 def test_output_files(tmp_path):

@@ -6,13 +6,14 @@ import pytest
 
 from coregrowth import chain as chain_mod
 from coregrowth import tasep
-from coregrowth.chain import MarkovChain, Move, build_chain, growth_steps
+from coregrowth.chain import MarkovChain, Move, build_chain, growth_steps, step_target
 from coregrowth.partitions import (
     EMPTY,
     bounded_to_core,
     check_reduced,
     complement,
     enumerate_reduced_states,
+    multiplicities,
     parts_from_multiplicities,
 )
 from coregrowth.posets import weak_covers_bounded
@@ -291,9 +292,22 @@ def test_build_chain_certifies_that_every_target_is_a_state(monkeypatch, fresh_m
         grown = [m + (i == column - 1) - (i == column - 2) for i, m in enumerate(l)]
         return parts_from_multiplicities(grown), None
 
-    monkeypatch.setattr(chain_mod, "_step_target", unreduced)
+    monkeypatch.setattr(chain_mod, "step_target", unreduced)
     with pytest.raises(InvariantError, match="leaves the reduced states"):
         build_chain(3)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_each_jump_lands_on_the_growth_rules_target(k):
+    """The jump of value c on a state's word is the word of ``step_target`` growing column c.
+
+    ``tasep`` prints each jumped state this way, without reading the word back.
+    """
+    for head in permutations(range(1, k + 1)):
+        word = head + (k + 1,)
+        l = multiplicities(alpha(word), k)
+        for value, moved in jumps(word):
+            assert step_target(l, value, k)[0] == alpha(moved)
 
 
 def test_alpha_inv_after_alpha_on_all_words():
