@@ -418,6 +418,20 @@ def test_certified_candidate_equals_exact_solve(k, exact, monkeypatch):
     assert calls == [expected]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_wrong_scale_candidate_falls_back(monkeypatch, k):
+    """A candidate proportional to pi but not summing to 1 is rejected; the CRT solve certifies pi."""
+    mc = build_chain(k)
+    exact = gauss_pi(k)
+    monkeypatch.setattr(chain_mod, "_solve_fraction_gauss", None)  # not a fallback
+    closed_form = chain_mod._closed_form_candidate
+    monkeypatch.setattr(chain_mod, "_closed_form_candidate", lambda c: [7 * v for v in closed_form(c)])
+    calls = record_certificates(monkeypatch)
+    assert stationary(mc).values == exact
+    assert calls[0] == [7 * v for v in exact] != exact  # rejected
+    assert calls[-1] == exact  # the CRT solve's reconstruction, certified
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_closed_form_equals_the_gauss_solve(k):
     """pi(s) = D(s) D(s^c) / Z with D(lam) = d(lam) / |lam|!, stated with Fractions."""
