@@ -5,14 +5,14 @@ growth-step rule, from any k-bounded partition: grow one column (a weak
 cover), keep every multiplicity l_i mod (k-i+1) (which deletes the full
 k-rectangles, ``step_target``), name the type whose ledger count rose, and
 take the rate d(cover) / ((n+1) d(state)) from the dimension table.
-``build_chain`` reads the steps out of each reduced state and certifies, in
-integers, that each row sums to one, and that each move conserves boxes (the
-target holds one box more than its state, less the deleted rectangle) and
-lands on a reduced state; it raises ``InvariantError`` otherwise.  It
-assembles each k once per process: every later call returns the same frozen
-``MarkovChain``, whose ``index`` maps each state to its position in
-``states`` (factorial-index order), so state lookups cost one dict probe.
-The TASEP verifiers and the simulator read the moves from the built chain.
+A ``MarkovChain`` is its moves: construction derives ``index`` (each state's
+position in ``states``, factorial-index order) and the sparse rows ``matrix``
+from them, and refuses a target that is not a state.  ``build_chain`` reads
+the steps out of each reduced state and certifies, in integers, that each row
+sums to one and that each move conserves boxes (the target holds one box more
+than its state, less the deleted rectangle); it raises ``InvariantError``
+otherwise.  It assembles each k once per process: every later call returns
+the same frozen chain, whose moves rho, the verifiers and the simulator read.
 
 ``stationary`` finds pi with pi P = pi in two steps.  The closed form
 pi(s) = D(s) D(s^c) / Z, with D(lam) = d(lam) / |lam|! and s^c the
@@ -71,23 +71,37 @@ class Move:
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """The chain on ``states``; ``build_chain`` hands one instance to every caller.
+    """The chain on ``states``, stored as its moves; ``build_chain`` shares one per k.
 
-    ``moves`` and ``matrix`` are stored as tuples, and the dict rows of
-    ``matrix`` are read-only: a caller that needs a changed chain builds a
-    new one from copies of the rows.
+    Construction derives ``index`` (state -> position) and the sparse rows
+    ``matrix`` (the rates of each state's moves summed per target, in move
+    order) from ``moves``, and raises ``InvariantError`` unless there is one
+    row of moves per state and every target is a state.  ``moves`` is stored
+    as tuples and the dict rows of ``matrix`` are read-only: a changed chain
+    is a new one built from copies of the moves.
     """
 
     k: int
     states: tuple[Parts, ...]  # factorial-index order
     moves: tuple[tuple[Move, ...], ...]  # moves[i]: the moves out of states[i]
-    matrix: tuple[dict[int, Fraction], ...]  # sparse rows, aggregated over moves
     index: dict[Parts, int] = field(init=False, repr=False, compare=False)  # state -> position
+    matrix: tuple[dict[int, Fraction], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(map(tuple, self.moves)))
-        object.__setattr__(self, "matrix", tuple(self.matrix))
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.states)})
+        moves = tuple(map(tuple, self.moves))
+        if len(moves) != len(self.states):
+            raise InvariantError(f"{len(moves)} rows of moves for {len(self.states)} states")
+        index = {s: i for i, s in enumerate(self.states)}
+        matrix: tuple[dict[int, Fraction], ...] = tuple({} for _ in moves)
+        for src, steps, row in zip(self.states, moves, matrix):
+            for move in steps:
+                ti = index.get(move.target)
+                if ti is None:
+                    raise InvariantError(f"move {src!r} -> {move.target!r} leaves the reduced states")
+                row[ti] = row[ti] + move.rate if ti in row else move.rate
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def size(self) -> int:
@@ -192,40 +206,32 @@ def _assemble(k: int) -> MarkovChain:
 
     Every rate out of ``src`` has a denominator dividing D = (|src| + 1)
     d(src), so the row sums to one exactly when the numerators scaled to D
-    sum to D.  Each move must also conserve boxes and land on a reduced
-    state.
+    sum to D.  Each move must also conserve boxes; ``MarkovChain`` checks
+    that it lands on a reduced state.
     """
     if k < 2:
         raise ValueError("the finite chain needs k >= 2")
     states = enumerate_reduced_states(k)
-    index = {s: i for i, s in enumerate(states)}
     moves: list[list[Move]] = []
-    matrix: list[dict[int, Fraction]] = []
     for src in states:
         n = sum(src)
         steps = growth_steps(src, k)
         denominator = _rate_denominator(src, k)
         scaled = 0
-        row: dict[int, Fraction] = {}
         for move in steps:
             area = rectangle_area(move.removed, k) if move.removed else 0
             if sum(move.target) != n + 1 - area:
                 raise InvariantError(f"move {src!r} -> {move.target!r} does not conserve boxes")
-            ti = index.get(move.target)
-            if ti is None:
-                raise InvariantError(f"move {src!r} -> {move.target!r} leaves the reduced states")
             quotient, rest = divmod(denominator, move.rate.denominator)
             if rest:
                 raise InvariantError(
                     f"rate {move.rate} of {src!r} -> {move.target!r} is not over {denominator}"
                 )
             scaled += move.rate.numerator * quotient
-            row[ti] = row[ti] + move.rate if ti in row else move.rate
         if scaled != denominator:
             raise InvariantError(f"row of {src!r} sums to {Fraction(scaled, denominator)}, not 1")
         moves.append(steps)
-        matrix.append(row)
-    return MarkovChain(k, states, moves, matrix)
+    return MarkovChain(k, states, moves)
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
@@ -475,16 +481,11 @@ def rho_vector(chain: MarkovChain, pi: StationaryDistribution) -> list[Fraction]
 
 
 def k_plancherel(k: int, n: int) -> dict[Parts, Fraction]:
-    """The measure w * d / n! on k-bounded partitions of n; sums to one."""
-    out = {}
-    for lam in enumerate_bounded(k, n):
-        out[lam] = Fraction(
-            weak_dim(lam, k) * dimensions.strong_dim_tableaux(lam, k), factorial(n)
-        )
-    total = sum(out.values())
-    if total != 1:
-        raise InvariantError(f"measure sums to {total}, not 1")
-    return out
+    """The measure w * d / n! on k-bounded partitions of n; ``verify_normalization`` checks its sum."""
+    return {
+        lam: Fraction(weak_dim(lam, k) * dimensions.strong_dim_tableaux(lam, k), factorial(n))
+        for lam in enumerate_bounded(k, n)
+    }
 
 
 # --- verifiers ------------------------------------------------------------
@@ -678,15 +679,12 @@ def verify_stationarity_identity(k: int, n: int) -> Report:
 
 
 def verify_normalization(k: int, n_max: int) -> Report:
-    """Sum of w * d over k-bounded partitions of n equals n!."""
+    """Sum of w * d over k-bounded partitions of n equals n!: ``k_plancherel`` sums to one."""
     bad = None
     for n in range(1, n_max + 1):
-        total = sum(
-            weak_dim(lam, k) * dimensions.strong_dim_tableaux(lam, k)
-            for lam in enumerate_bounded(k, n)
-        )
-        if total != factorial(n):
-            bad = {"n": n, "total": total}
+        total = sum(k_plancherel(k, n).values())
+        if total != 1:
+            bad = {"n": n, "total": int(total * factorial(n))}
             break
     return Report(
         "cauchy-normalization", THEOREM, bad is None, {"k": k, "n_max": n_max}, bad

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from coregrowth import chain as chain_mod
 from coregrowth.partitions import (
     Parts,
-    enumerate_reduced_states,
     rectangle_area,
     reduce_rectangles,
 )
@@ -112,8 +111,14 @@ class SimResult:
     occupancy: np.ndarray  # visits per state, factorial-index order
     frontiers: tuple[int, ...]
     boundary: list[tuple[float, float]]
-    rho_hat: np.ndarray
     checkpoints: list[tuple[int, int, tuple[int, ...]]]
+
+    @property
+    def rho_hat(self) -> np.ndarray:
+        """The rate of each rectangle type: its ledger count over n."""
+        import numpy as np
+
+        return np.array(self.ledger, dtype=float) / self.config.n
 
 
 # The most entries (reduced states x composed symbols) of the composed step
@@ -169,7 +174,7 @@ def _sampling_tables(mc: chain_mod.MarkovChain) -> WalkTables:
         word = alpha_inv(state, mc.k)
         for m in row:
             label = jump(word, m.column)[0]
-            moves.append((mc.state_index(m.target), m.removed or 0, m.column, label))
+            moves.append((mc.index[m.target], m.removed or 0, m.column, label))
         cums.append(list(accumulate(float(m.rate) for m in row)))
         cums[-1][-1] = 1.0 + 1e-12  # guard the top bucket
     states = len(cums)
@@ -323,7 +328,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         occupancy=np.array(occupancy, dtype=np.int64),
         frontiers=tuple(frontiers),
         boundary=boundary,
-        rho_hat=np.array(ledger, dtype=float) / config.n,
         checkpoints=checkpoints,
     )
 
@@ -448,15 +452,14 @@ def boundary_csv(points) -> str:
 def rho_csv(result: SimResult) -> str:
     target = 1.0 / comb(result.config.k + 2, 3)
     lines = ["i,count,rho_hat,conjectured"]
-    for i, c in enumerate(result.ledger, start=1):
-        lines.append("%d,%d,%.12g,%.12g" % (i, c, c / result.config.n, target))
+    for i, (c, hat) in enumerate(zip(result.ledger, result.rho_hat), start=1):
+        lines.append("%d,%d,%.12g,%.12g" % (i, c, hat, target))
     return "\n".join(lines) + "\n"
 
 
 def occupancy_csv(result: SimResult, pi: chain_mod.StationaryDistribution) -> str:
     lines = ["index,parts,visits,frequency,pi"]
-    for i, s in enumerate(enumerate_reduced_states(result.config.k)):
-        visits = result.occupancy[i]
+    for i, (s, visits) in enumerate(zip(pi.chain.states, result.occupancy)):
         lines.append(
             '%d,"%s",%d,%.12g,%.12g'
             % (i, " ".join(map(str, s)), int(visits), visits / result.config.n, float(pi.values[i]))

@@ -113,8 +113,7 @@ def verify_tasep_equivalence(mc: MarkovChain) -> Report:
     word_of = dict(zip(mc.states, words))
     bad = None
     for s, word, moves in zip(mc.states, words, mc.moves):
-        # A target outside the states has no word: () matches no jump.
-        chain_side = sorted((m.column, word_of.get(m.target, ())) for m in moves)
+        chain_side = sorted((m.column, word_of[m.target]) for m in moves)
         tasep_side = jumps(word)
         if chain_side != tasep_side:
             bad = {

@@ -2,13 +2,14 @@ import dataclasses
 import functools
 import json
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from coregrowth import chain as chain_mod
-from coregrowth import cli
+from coregrowth import cli, simulate
 from coregrowth.chain import (
     MarkovChain,
     _closed_form_candidate,
@@ -306,12 +307,52 @@ def test_build_chain_returns_one_read_only_chain_per_k():
     assert type(mc.matrix) is tuple
     with pytest.raises(dataclasses.FrozenInstanceError):
         mc.moves = ()
-    # a chain built from copied rows is frozen as well, and leaves the shared one alone
+    # a chain built from copied moves is frozen as well, and leaves the shared one alone
     moves = [list(row) for row in mc.moves]
     moves[0].pop()
-    changed = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+    changed = MarkovChain(mc.k, mc.states, moves)
     assert type(changed.moves[0]) is tuple and len(changed.moves[0]) == len(mc.moves[0]) - 1
     assert build_chain(3) is mc and len(mc.moves[0]) == len(moves[0]) + 1
+
+
+def test_a_chain_is_built_from_its_moves_alone():
+    """``index`` and ``matrix`` are derived, so a chain cannot be given rows apart from its moves."""
+    assert [f.name for f in dataclasses.fields(MarkovChain) if f.init] == ["k", "states", "moves"]
+
+
+def test_a_chain_changed_through_its_moves_is_one_chain():
+    """pi, rho, the box flow and the simulator's thresholds all read the changed row of (2,)."""
+    mc = build_chain(3)
+    s = mc.state_index((2,))
+    assert [(m.removed, m.rate) for m in mc.moves[s]] == [(3, Fraction(1, 3)), (None, Fraction(2, 3))]
+    moves = [list(row) for row in mc.moves]
+    moves[s] = [dataclasses.replace(m, rate=Fraction(1 if m.removed else 3, 4)) for m in moves[s]]
+    changed = MarkovChain(mc.k, mc.states, moves)
+    assert changed.matrix[s] == {mc.state_index(m.target): m.rate for m in changed.moves[s]}
+    pi = stationary(changed)
+    assert pi.values == _solve_fraction_gauss(changed) != stationary(mc).values
+    flows = [
+        sum(v * m.rate for v, row in zip(pi.values, changed.moves) for m in row if m.removed == t)
+        for t in (1, 2, 3)
+    ]
+    assert rho_vector(changed, pi) == flows and flows[2] == Fraction(29, 322)
+    assert verify_rho_symmetry(changed, pi).details["area_flow"] == "1"
+    walk = simulate._sampling_tables(changed)
+    first = sum(map(len, changed.moves[:s]))
+    for u, j in ((0.2, 0), (0.3, 1), (0.9, 1)):  # thresholds 1/4 and 1, not 1/3 and 1
+        assert walk.step_move[s, bisect_right(walk.breaks.tolist(), u)] == first + j
+
+
+def test_a_chain_refuses_a_target_off_its_states_and_a_missing_row():
+    mc = build_chain(3)
+    moves = [list(row) for row in mc.moves]
+    moves[1][0] = dataclasses.replace(moves[1][0], target=(3, 3))
+    message = f"move {mc.states[1]!r} -> (3, 3) leaves the reduced states"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        MarkovChain(mc.k, mc.states, moves)
+    for rows in (mc.moves[:-1], mc.moves + ((),)):
+        with pytest.raises(InvariantError, match="rows of moves for 6 states"):
+            MarkovChain(mc.k, mc.states, rows)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -479,11 +520,14 @@ def test_complement_reverses_every_move(k):
 def test_a_chain_without_the_conjugation_symmetry_falls_back(monkeypatch):
     """The closed form of a chain that is not this one is rejected; the CRT solve certifies pi."""
     mc = build_chain(3)
-    matrix = [dict(row) for row in mc.matrix]
     src, two, one_one = (mc.state_index(s) for s in ((1,), (2,), (1, 1)))
-    assert matrix[src] == {two: Fraction(1, 2), one_one: Fraction(1, 2)}  # (1,) is self-conjugate
-    matrix[src] = {two: Fraction(1, 3), one_one: Fraction(2, 3)}
-    skewed = MarkovChain(mc.k, mc.states, mc.moves, matrix)
+    assert mc.matrix[src] == {two: Fraction(1, 2), one_one: Fraction(1, 2)}  # (1,) is self-conjugate
+    moves = [list(row) for row in mc.moves]
+    moves[src] = [
+        dataclasses.replace(m, rate=Fraction(1 if m.target == (2,) else 2, 3)) for m in moves[src]
+    ]
+    skewed = MarkovChain(mc.k, mc.states, moves)
+    assert skewed.matrix[src] == {two: Fraction(1, 3), one_one: Fraction(2, 3)}
     pi = stationary(mc)
     assert not verify_conjugation_symmetry(skewed, pi).passed
     exact = _solve_fraction_gauss(skewed)

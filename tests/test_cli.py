@@ -235,6 +235,21 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     assert "VIOLATED" in capsys.readouterr().out
 
 
+def test_a_measure_that_does_not_sum_to_one_is_a_counterexample(capsys, monkeypatch):
+    """Weak counts off by one at size 3 fail two theorems; every verdict is still printed."""
+    from coregrowth import chain as chain_mod
+
+    count = chain_mod.weak_dim
+    monkeypatch.setattr(chain_mod, "weak_dim", lambda lam, k: count(lam, k) + (sum(lam) == 3))
+    assert run_cli("chain", "--k", "3") == 1
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(verdicts) == 14
+    assert [line for line in verdicts if line.startswith("[COUNTEREXAMPLE]")] == [
+        "[COUNTEREXAMPLE] (theorem) plancherel-one-step-invariance",
+        "[COUNTEREXAMPLE] (theorem) cauchy-normalization",
+    ]
+
+
 def test_equality_violation_fails_after_every_row(capsys, monkeypatch):
     """A wrong d(2,1) breaks the n <= k equality: exit 1, all rows printed."""
     strong_dim = cli.dimensions.strong_dim_tableaux

@@ -166,7 +166,7 @@ def test_broken_label_correspondence_raises(monkeypatch):
     first, second = moves[1][:2]
     moves[1][0] = dataclasses.replace(first, column=second.column)
     moves[1][1] = dataclasses.replace(second, column=first.column)
-    broken = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+    broken = MarkovChain(mc.k, mc.states, moves)
     monkeypatch.setattr(simulate.chain_mod, "build_chain", lambda k: broken)
     with pytest.raises(InvariantError, match="not a TASEP jump"):
         run_simulation(SimConfig(k=3, n=10, seed=1))
@@ -258,7 +258,7 @@ def test_tampered_target_raises():
                 continue
             moves = [list(r) for r in mc.moves]
             moves[s][i] = dataclasses.replace(m, target=wrong)
-            tampered = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+            tampered = MarkovChain(mc.k, mc.states, moves)
             with pytest.raises(InvariantError, match="not a TASEP jump"):
                 simulate._sampling_tables(tampered)
 
@@ -270,7 +270,7 @@ def test_a_missing_jump_raises():
     moves = [list(row) for row in mc.moves]
     del moves[s][0]
     with pytest.raises(InvariantError, match="not a TASEP jump"):
-        simulate._sampling_tables(MarkovChain(mc.k, mc.states, moves, mc.matrix))
+        simulate._sampling_tables(MarkovChain(mc.k, mc.states, moves))
 
 
 def test_a_word_map_that_merges_states_raises(monkeypatch):
@@ -375,7 +375,7 @@ def test_projection_compares_removed_types_and_both_directions(monkeypatch):
         (cleared, mc.states[i], [mc.moves[i][j]], [cleared[i][j]]),
         (extra, EMPTY, [], [stray]),
     ):
-        chain = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+        chain = MarkovChain(mc.k, mc.states, moves)
         monkeypatch.setattr(chain_mod, "build_chain", lambda k: chain)
         report = verify_projection(3, 10)
         assert not report.passed

@@ -221,7 +221,7 @@ def k1_chain() -> MarkovChain:
     """
     (move,) = growth_steps(EMPTY, 1)
     assert move == Move(1, EMPTY, 1, Fraction(1))
-    return MarkovChain(1, (EMPTY,), [[move]], [{0: Fraction(1)}])
+    return MarkovChain(1, (EMPTY,), [[move]])
 
 
 def test_equivalence_and_rectangle_witness():
@@ -237,18 +237,18 @@ def test_verifiers_read_the_chain_they_are_given():
     first, second = moves[1][:2]
     moves[1][0] = dataclasses.replace(first, column=second.column)
     moves[1][1] = dataclasses.replace(second, column=first.column)
-    swapped = MarkovChain(mc.k, mc.states, moves, mc.matrix)
+    swapped = MarkovChain(mc.k, mc.states, moves)
     report = verify_tasep_equivalence(swapped)
     assert not report.passed and report.witness["state"] == mc.states[1]
     # a removal the word does not show fails the rectangle witness
     moves = [list(row) for row in mc.moves]
     i, j = next((i, j) for i, row in enumerate(moves) for j, m in enumerate(row) if m.removed)
     moves[i][j] = dataclasses.replace(moves[i][j], removed=None)
-    assert not verify_rectangle_jump(MarkovChain(mc.k, mc.states, moves, mc.matrix)).passed
+    assert not verify_rectangle_jump(MarkovChain(mc.k, mc.states, moves)).passed
 
 
 def test_word_space_verifier_fails_on_a_tampered_target():
-    """A move retargeted to another state, or off the states, is not its word's jump."""
+    """A move retargeted to another state is not its word's jump; one off the states is refused."""
     mc = build_chain(3)
     for wrong in (mc.states[0], (3, 3)):
         moves = [list(row) for row in mc.moves]
@@ -256,7 +256,11 @@ def test_word_space_verifier_fails_on_a_tampered_target():
             (i, j) for i, row in enumerate(moves) for j, m in enumerate(row) if m.target != wrong
         )
         moves[i][j] = dataclasses.replace(moves[i][j], target=wrong)
-        report = verify_tasep_equivalence(MarkovChain(mc.k, mc.states, moves, mc.matrix))
+        if wrong not in mc.index:  # the chain is refused when it is built
+            with pytest.raises(InvariantError, match="leaves the reduced states"):
+                MarkovChain(mc.k, mc.states, moves)
+            continue
+        report = verify_tasep_equivalence(MarkovChain(mc.k, mc.states, moves))
         assert not report.passed and report.witness["state"] == mc.states[i]
         assert report.witness["chain"][moves[i][j].column] == wrong
 
