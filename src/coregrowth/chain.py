@@ -150,8 +150,8 @@ def step_rate(src: Parts, cover: Parts, k: int) -> Fraction:
     return Fraction(dimensions.strong_dim_tableaux(cover, k), _rate_denominator(src, k))
 
 
-def step_target(l: tuple[int, ...], column: int, k: int) -> tuple[Parts, int | None]:
-    """The reduced target of growing ``column`` on multiplicities l, and the type it completes.
+def step_target(l: tuple[int, ...], column: int, k: int) -> tuple[tuple[int, ...], int | None]:
+    """The reduced target's multiplicities after growing ``column`` on l, and the type it completes.
 
     Growing column c moves one part from size c-1 to size c (c = 1 adds a
     part), so l_{c-1} falls by one and l_c rises by one; the target keeps
@@ -164,7 +164,7 @@ def step_target(l: tuple[int, ...], column: int, k: int) -> tuple[Parts, int | N
     if column > 1:
         grown[column - 2] -= 1
     reduced = [m % (k - i) for i, m in enumerate(grown)]
-    return parts_from_multiplicities(reduced), column if reduced[column - 1] == 0 else None
+    return tuple(reduced), column if reduced[column - 1] == 0 else None
 
 
 def growth_steps(parts: Parts, k: int) -> list[Move]:
@@ -180,9 +180,9 @@ def growth_steps(parts: Parts, k: int) -> list[Move]:
     out = []
     for cover in weak_covers_bounded(parts, k):
         column = grown_column(parts, cover)
-        target, removed = step_target(l, column, k)
+        reduced, removed = step_target(l, column, k)
         rate = Fraction(dimensions.strong_dim_tableaux(cover, k), denominator)
-        out.append(Move(column, target, removed, rate))
+        out.append(Move(column, parts_from_multiplicities(reduced), removed, rate))
     return out
 
 

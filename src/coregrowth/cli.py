@@ -164,6 +164,11 @@ def _name(parts) -> str:
     return "(" + ",".join(map(str, parts)) + ")"
 
 
+def _name_of(l) -> str:
+    """``_name`` of the partition with multiplicities l, one run of "i," per part size."""
+    return "(" + "".join(f"{i}," * l[i - 1] for i in range(len(l), 0, -1))[:-1] + ")"
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -359,13 +364,13 @@ def cmd_tasep(args) -> int:
     else:
         raise UsageError("provide --word or --state")
     l = multiplicities(state, k)
-    print(f"state {_name(state)}   l = {l}")
+    print(f"state {_name_of(l)}   l = {l}")
     print(f"word  {tasep.word_to_string(word)}")
     print(f"factorial index {factorial_index(state, k)}")
     # By the TASEP equivalence, the jump of a value grows that column.
     for value, moved in tasep.jumps(word):
-        target = chain_mod.step_target(l, value, k)[0]
-        print(f"jump of {value}: {tasep.word_to_string(moved)}  -> column {value}, state {_name(target)}")
+        target_l = chain_mod.step_target(l, value, k)[0]
+        print(f"jump of {value}: {tasep.word_to_string(moved)}  -> column {value}, state {_name_of(target_l)}")
     return EXIT_OK
 
 

@@ -8,12 +8,12 @@ shorter rows above.
 An r-core is a partition with no hook of length r.  For r = k+1 the maps
 ``core_to_bounded`` / ``bounded_to_core`` translate between (k+1)-cores and
 partitions with parts at most k.  The push-right rule behind
-``bounded_to_core`` is one row step, ``stack_row``: from the rows above the
-bottom one and their core, it adds the bottom row with O(1) arithmetic and
-one tuple copy, so ``posets`` builds a whole level of cores with one step
-per core on cores already built.  ``reduce_rectangles`` projects a
-k-bounded partition onto the finite state space of k! partitions whose
-multiplicity vector satisfies l_i <= k-i.
+``bounded_to_core`` is one row step, ``stack_row``: from the core and the
+first part of the rows above the bottom one, it adds the bottom row with
+O(1) arithmetic and one tuple copy, so ``posets`` builds a whole level of
+cores with one step per core on cores already built.  ``reduce_rectangles``
+projects a k-bounded partition onto the finite state space of k!
+partitions whose multiplicity vector satisfies l_i <= k-i.
 """
 
 from __future__ import annotations
@@ -99,20 +99,20 @@ def core_to_bounded(parts: Parts, k: int) -> Parts:
     return tuple(out)
 
 
-def stack_row(first: int, rest: Parts, rest_core: Parts, k: int) -> Parts:
-    """The (k+1)-core of ``(first,) + rest``, from the core ``rest_core`` of ``rest``.
+def stack_row(first: int, rest_first: int, rest_core: Parts, k: int) -> Parts:
+    """The (k+1)-core of ``first`` on top of a tail with first part ``rest_first`` (0 if empty).
 
-    One step of the push-right rule.  The rows of ``rest`` are final in
+    One step of the push-right rule.  The tail's rows are final in its core
     ``rest_core``, and the shift they carried down, ``rest_core[0] -
-    rest[0]``, moves the new bottom row too.  The row then moves right by
+    rest_first``, moves the new bottom row too.  The row then moves right by
     the least amount that leaves each of its ``first`` original cells with
     hook length at most k.  The cell c-th from the right has arm c - 1, so
     it needs leg at most k - c: a column past ``rest_core[k - c]``.  That
     bound rises with c, so the leftmost original cell (c = ``first``)
-    decides.  Needs 1 <= first <= k and ``rest`` with parts at most
+    decides.  Needs 1 <= first <= k and a tail with parts at most
     ``first``; the caller checks.
     """
-    row = first + (rest_core[0] - rest[0] if rest else 0)
+    row = first + (rest_core[0] - rest_first if rest_core else 0)
     if k - first < len(rest_core):
         row = max(row, rest_core[k - first] + first)
     return (row,) + rest_core
@@ -130,8 +130,8 @@ def bounded_to_core(parts: Parts, k: int) -> Parts:
     """
     parts = check_k_bounded(parts, k)
     core = EMPTY
-    for i in range(len(parts) - 1, -1, -1):
-        core = stack_row(parts[i], parts[i + 1 :], core, k)
+    for first, rest_first in zip(reversed(parts), (0, *reversed(parts))):
+        core = stack_row(first, rest_first, core, k)
     return core
 
 

@@ -4,8 +4,8 @@
 and ``cores_of_level(k, n)`` their (k+1)-cores in the same order.  Both are
 memoised per k and built one level at a time from the levels below: a
 partition is its first part on top of a partition already listed, and its
-core is one ``partitions.stack_row`` on that partition's core, so no level
-inflates a partition from scratch.
+core is one ``partitions.stack_row`` on that partition's core and first
+part, so no level inflates a partition or needs one listed.
 
 On k-bounded partitions the weak order is box addition that is monotone for
 k-conjugation.  The strong order is plain containment of (k+1)-cores with the
@@ -35,45 +35,51 @@ def contains(outer: Parts, inner: Parts) -> bool:
 class _Levels:
     """The partitions of each size with parts at most k, and their (k+1)-cores.
 
-    Level n lists its partitions by first part, largest first, and
-    ``starts[n][f]`` (1 <= f <= min(k, n)) is where those with first part
-    at most f begin.  A partition of n with first part f is f on top of a
-    partition of n - f with parts at most f, and those are the tail of
-    level n - f from ``starts[n - f][min(f, n - f)]``.  So a loop over
-    levels reads each level off the levels below it, and each core is one
-    ``stack_row`` on the core of its tail partition.
+    Level n lists its ``sizes[n]`` partitions by first part, largest first,
+    and ``starts[n][f]`` (f <= min(k, n)) is where those with first part at
+    most f begin.  A partition of n with first part f is f on top of a
+    partition of n - f with parts at most f: the tail of level n - f from
+    ``starts[n - f][min(f, n - f)]``.  So the lengths alone give ``starts``,
+    and each core is one ``stack_row`` on a core of that tail and its
+    block's first part (0 for level 0's): no core reads a partition.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.bounded: list[tuple[Parts, ...]] = [(EMPTY,)]
         self.starts: list[list[int]] = [[0]]
+        self.sizes: list[int] = [1]
+        self.bounded: list[tuple[Parts, ...]] = [(EMPTY,)]
         self.cores: list[tuple[Parts, ...]] = [(EMPTY,)]
 
+    def starts_up_to(self, n: int) -> None:
+        for m in range(len(self.starts), n + 1):
+            at = [0] * (min(self.k, m) + 1)
+            for f in range(len(at) - 1, 0, -1):
+                at[f - 1] = at[f] + self.sizes[m - f] - self.starts[m - f][min(f, m - f)]
+            self.starts.append(at)
+            self.sizes.append(at[0])
+
     def bounded_up_to(self, n: int) -> tuple[Parts, ...]:
+        self.starts_up_to(n)
         k, bounded, starts = self.k, self.bounded, self.starts
         for m in range(len(bounded), n + 1):
             level: list[Parts] = []
-            at = [0] * (min(k, m) + 1)
             for f in range(min(k, m), 0, -1):
-                at[f] = len(level)
                 tail = starts[m - f][min(f, m - f)]
                 level += [(f,) + rest for rest in bounded[m - f][tail:]]
             bounded.append(tuple(level))
-            starts.append(at)
         return bounded[n]
 
     def cores_up_to(self, n: int) -> tuple[Parts, ...]:
-        self.bounded_up_to(n)
-        k, bounded, starts, cores = self.k, self.bounded, self.starts, self.cores
+        self.starts_up_to(n)
+        k, starts, cores = self.k, self.starts, self.cores
         for m in range(len(cores), n + 1):
             level: list[Parts] = []
             for f in range(min(k, m), 0, -1):
-                tail = starts[m - f][min(f, m - f)]
-                level += [
-                    stack_row(f, rest, core, k)
-                    for rest, core in zip(bounded[m - f][tail:], cores[m - f][tail:])
-                ]
+                below, at = cores[m - f], starts[m - f]
+                for g in range(min(f, m - f), -1, -1):
+                    end = at[g - 1] if g else len(below)
+                    level += [stack_row(f, g, core, k) for core in below[at[g] : end]]
             cores.append(tuple(level))
         return cores[n]
 
@@ -84,10 +90,9 @@ _LEVELS: dict[int, _Levels] = {}
 def _levels(k: int, n: int) -> _Levels:
     if n < 0:
         raise ValueError("n must be non-negative")
-    levels = _LEVELS.get(k)
-    if levels is None:
-        levels = _LEVELS[k] = _Levels(k)
-    return levels
+    if k not in _LEVELS:
+        _LEVELS[k] = _Levels(k)
+    return _LEVELS[k]
 
 
 def enumerate_bounded(k: int, n: int) -> tuple[Parts, ...]:

@@ -1,20 +1,28 @@
 import dataclasses
 import functools
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
+from pathlib import Path
 
 import pytest
 
 from coregrowth import chain as chain_mod
 from coregrowth import cli, simulate
 from coregrowth.chain import (
+    _PRIMES,
     MarkovChain,
     _closed_form_candidate,
+    _rational_reconstruct,
     _solve_crt,
     _solve_fraction_gauss,
+    _solve_mod_p,
     build_chain,
     chain_to_json,
     is_irreducible,
@@ -280,6 +288,58 @@ def test_crt_solver_matches_gauss():
     # Gauss is the oracle: the CRT solve is the only exact fallback.
     for k in (2, 3, 4, 5):
         assert _solve_crt(build_chain(k)) == gauss_pi(k)
+
+
+def test_rational_reconstruct_finds_integers_and_refuses_residues_past_its_bound():
+    """5 and 0 are their own fractions; a residue with no fraction inside sqrt(m/2) gives None.
+
+    Every fraction returned maps back to its residue inside the bound.
+    """
+    m = _PRIMES[0] * _PRIMES[1]
+    assert _rational_reconstruct(5, m) == Fraction(5)
+    assert _rational_reconstruct(0, m) == 0
+    bound = isqrt(m // 2)
+    rng = random.Random(1)
+    refused = 0
+    for residue in (rng.randrange(m) for _ in range(2000)):
+        q = _rational_reconstruct(residue, m)
+        if q is None:
+            refused += 1
+        else:
+            assert q.numerator * pow(q.denominator, -1, m) % m == residue
+            assert abs(q.numerator) <= bound and q.denominator <= bound
+    assert refused == 768
+
+
+def test_solve_mod_p_swaps_rows_for_a_zero_pivot():
+    """The first pivot of [[0, 1 | 3], [1, 0 | 5]] is zero, so the rows swap before it is used."""
+    system = [{1: Fraction(1), 2: Fraction(3)}, {0: Fraction(1), 2: Fraction(5)}]
+    assert _solve_mod_p(system, _PRIMES[0]) == [5, 3]
+
+
+def test_build_chain_6_and_its_stationary_stay_in_their_memory_budget():
+    """The traced peak of ``stationary(build_chain(6))`` in a fresh process stays under 7.0 MiB.
+
+    It is 6.13 MiB (Python 3.11) now that the levels of cores keep no
+    bounded partition, and was 8.63 MiB when they kept one per core.
+    """
+    code = (
+        "import tracemalloc\n"
+        "from coregrowth.chain import build_chain, stationary\n"
+        "tracemalloc.start()\n"
+        "stationary(build_chain(6))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 7.0 * 2**20
 
 
 def test_chain_json_and_csv(chain3):

@@ -34,6 +34,16 @@ CASES = {
         SIM_OUTPUTS,
         "a62c340dab26aff7202fb3e4b5cb9dd041718319e2b4a635bb5db25a0a801e65",
     ),
+    "tasep-k4-empty": (
+        ["tasep", "--k", "4", "--state", ""],
+        (),
+        "38b259d5e5751f07fc52b4e0e018892095b97446266abdbf8abbea535e1199f6",
+    ),
+    "tasep-k6": (
+        ["tasep", "--k", "6", "--word", "2-1-4-3-6-5-7"],
+        (),
+        "dc52b3f2bde7d08fd10fdb835807ea8f0f0bea9f8f59d0454ae167d4ed47451d",
+    ),
 }
 
 

@@ -145,6 +145,30 @@ def test_a_fresh_level_stacks_one_row_per_core(monkeypatch, k):
     assert steps == before
 
 
+@pytest.mark.parametrize("k", [3, 6])
+def test_a_level_of_cores_builds_no_bounded_partition(monkeypatch, k):
+    """The cores come from the cores below and ``starts`` alone, up to the chain's top level.
+
+    The bounded levels, built after the cores or before them, are the same
+    and still inflate to the cores element for element.
+    """
+    top = max(map(sum, partitions.enumerate_reduced_states(k))) + 1
+
+    def forbidden(self, n):
+        raise AssertionError(f"the cores built the bounded partitions of level {n}")
+
+    monkeypatch.setattr(posets, "_LEVELS", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(posets._Levels, "bounded_up_to", forbidden)
+        cores_of_level(k, top)
+        cores = [cores_of_level(k, n) for n in range(top + 1)]
+    after = [enumerate_bounded(k, n) for n in range(top + 1)]
+    assert cores == [tuple(bounded_to_core(b, k) for b in level) for level in after]
+    monkeypatch.setattr(posets, "_LEVELS", {})
+    assert [enumerate_bounded(k, n) for n in range(top + 1)] == after
+    assert [cores_of_level(k, n) for n in range(top + 1)] == cores
+
+
 def test_weak_covers_core_examples():
     assert {c for _r, c in weak_covers_core((2, 1), 3)} == {(3, 1, 1), (2, 2)}
     assert weak_covers_core(EMPTY, 3) == [(0, (1,))]
