@@ -57,6 +57,7 @@ from coregrowth.posets import (
     weak_predecessors_bounded,
 )
 from coregrowth.reporting import CONJECTURE, THEOREM, InvariantError, Report
+from coregrowth.tasep import alpha_inv, word_to_string
 
 
 @dataclass(frozen=True)
@@ -360,26 +361,23 @@ def _rational_reconstruct(residue: int, modulus: int) -> Fraction | None:
 def _solve_crt(chain: MarkovChain) -> list[Fraction]:
     """Exact pi from residues modulo growing sets of primes.
 
-    Returns only a vector that passed ``_verify_stationary``.
+    Each usable prime p with solution s takes one CRT step per state,
+    x <- x + m ((s - x) m^-1 mod p), then m <- m p; reconstruction starts at
+    the second prime.  Returns only a vector that passed ``_verify_stationary``.
     """
     system = _stationary_system(chain)
-    residues: list[list[int]] = []
-    primes_used: list[int] = []
+    xs, m = [0] * chain.size, 1
     for p in _PRIMES:
         sol = _solve_mod_p(system, p)
         if sol is None:
             continue
-        residues.append(sol)
-        primes_used.append(p)
-        if len(primes_used) < 2:
+        inv = pow(m, -1, p)
+        xs = [x + m * ((s - x) * inv % p) for x, s in zip(xs, sol)]
+        m *= p
+        if m == p:
             continue
         combined = []
-        for idx in range(chain.size):
-            x, m = 0, 1
-            for res, q in zip(residues, primes_used):
-                t = ((res[idx] - x) * pow(m, -1, q)) % q
-                x += m * t
-                m *= q
+        for x in xs:
             frac = _rational_reconstruct(x, m)
             if frac is None:
                 break
@@ -620,8 +618,6 @@ def verify_minimum(chain: MarkovChain, pi: StationaryDistribution) -> Report:
 
 def verify_position_of_k(chain: MarkovChain, pi: StationaryDistribution) -> Report:
     """Pr[k sits at word position j] vs Pr[l_1 = j-1], per j."""
-    from coregrowth.tasep import alpha_inv
-
     k = chain.k
     by_position = [0] * k
     by_ones = [0] * k
@@ -694,8 +690,6 @@ def verify_normalization(k: int, n_max: int) -> Report:
 # --- serialization ----------------------------------------------------------
 
 def chain_to_json(chain: MarkovChain, pi: StationaryDistribution, reports: list[Report]) -> str:
-    from coregrowth.tasep import alpha_inv, word_to_string
-
     k = chain.k
     payload = {
         "format": "coregrowth.chain.v1",

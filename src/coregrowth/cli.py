@@ -353,7 +353,7 @@ def cmd_tasep(args) -> int:
     guard_error("tasep", k, None)
     if args.word is not None and args.state is not None:
         raise UsageError("give --word or --state, not both")
-    if args.word:
+    if args.word is not None:
         word = _parsed(tasep.word_from_string, args.word)
         if len(word) != k + 1:
             raise UsageError(f"word has {len(word)} letters, expected {k + 1}")

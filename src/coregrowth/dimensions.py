@@ -34,11 +34,11 @@ signed composition sums, and the vanishing predicates used by the property
 suite.  A term set is evaluated through its merged displacements: terms
 with the same net displacement are summed into one signed coefficient, once
 per term set, and each displacement then costs one product of factorials
-and one exact integer division per vector.  The
-vanishing check evaluates the full triangle by its Jacobi-Trudi determinant
-N! det[1/(v_i + j - i)!], with rows scaled to integers and eliminated by
-Bareiss in O(t^3); the t!-term inversion expansion stays as its oracle,
-which the property suite compares it against.
+and one exact integer division per vector.  Both vanishing predicates, on
+truncated vectors and on long first columns, evaluate the full triangle by
+its Jacobi-Trudi determinant N! det[1/(v_i + j - i)!], with rows scaled to
+integers and eliminated by Bareiss in O(t^3); the t!-term inversion
+expansion stays as its oracle, which the property suite compares it against.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from coregrowth.partitions import (
     bounded_to_core,
     check_k_bounded,
     conjugate,
+    hook_lengths,
     multiplicities,
 )
 from coregrowth.posets import cores_of_level, contains, skew_components
@@ -65,8 +66,6 @@ Pair = tuple[int, int]
 
 def hook_dim(parts: Parts) -> int:
     """Standard Young tableau count via the hook length formula."""
-    from coregrowth.partitions import hook_lengths
-
     n = sum(parts)
     d = factorial(n)
     for row in hook_lengths(parts):
@@ -245,7 +244,7 @@ def strong_dim_tableaux(parts: Parts, k: int) -> int:
 
 # --- triangle operator calculus ------------------------------------------
 
-def inversion_displacements(t: int, shift: int = 0):
+def inversion_displacements(t: int):
     """The inversion expansion's merged displacements, read off the permutations.
 
     Yields what ``term_displacements`` yields for the full triangle's t!
@@ -255,20 +254,19 @@ def inversion_displacements(t: int, shift: int = 0):
     #{w < v placed after v}: by p - (v - 1) in all, when p entries precede
     v.  So distinct permutations never merge.  The sign is (-1)^inv.  As in
     ``term_displacements`` a displacement is as long as the largest index an
-    inversion reaches: t + shift, or 0 at t = 1.
+    inversion reaches: t, or 0 at t = 1.
     """
     if t < 1:
         raise ValueError("t must be positive")
     if t == 1:
         yield (), 1
         return
-    pad = (0,) * shift
     pos = [0] * t
     for perm in permutations(range(t)):
         for p, v in enumerate(perm):
             pos[v] = p
         inv = sum(starmap(gt, combinations(perm, 2)))
-        yield pad + tuple(p - v for v, p in enumerate(pos)), -1 if inv % 2 else 1
+        yield tuple(p - v for v, p in enumerate(pos)), -1 if inv % 2 else 1
 
 
 def triangle_expand_naive(t: int) -> list[tuple[frozenset[Pair], int]]:
@@ -320,24 +318,23 @@ def triangle_expand_intervals(k: int, universe: int | None = None) -> list[tuple
     return out
 
 
-def term_displacements(terms, shift: int = 0):
+def term_displacements(terms):
     """Yield each distinct net displacement of ``terms`` once, with its summed sign.
 
-    A term's net displacement moves entry p+1 of a vector by entry p;
-    ``shift`` relocates pair indices first.  Terms with the same
-    displacement evaluate alike on every vector, so they are merged, and a
-    displacement whose signs cancel is dropped.  Every displacement is as
-    long as the largest index any term reaches, so ``terms`` is read twice.
-    A caller that evaluates one term set on many vectors keeps the
-    displacements in a tuple.
+    A term's net displacement moves entry p+1 of a vector by entry p.  Terms
+    with the same displacement evaluate alike on every vector, so they are
+    merged, and a displacement whose signs cancel is dropped.  Every
+    displacement is as long as the largest index any term reaches, so
+    ``terms`` is read twice.  A caller that evaluates one term set on many
+    vectors keeps the displacements in a tuple.
     """
-    top = max((j + shift for pairs, _sign in terms for _i, j in pairs), default=0)
+    top = max((j for pairs, _sign in terms for _i, j in pairs), default=0)
     merged: dict[tuple[int, ...], int] = {}
     for pairs, sign in terms:
         delta = [0] * top
         for i, j in pairs:
-            delta[i + shift - 1] += 1
-            delta[j + shift - 1] -= 1
+            delta[i - 1] += 1
+            delta[j - 1] -= 1
         key = tuple(delta)
         merged[key] = merged.get(key, 0) + sign
     for delta, sign in merged.items():
@@ -490,26 +487,26 @@ def long_column_vanishes(parts: Parts, k: int) -> bool:
     Preconditions: l_1(parts) is k-1 or k.  For every subset X of the
     operator windows of the rows above the column of ones that moves a box
     out of some position past those rows, the composite evaluation (apply X,
-    then the triangle over the unit block) must be zero.
+    then the triangle over the unit block) must be zero.  The triangle fixes
+    the first s entries, so that is a positive multinomial times the unit
+    block's ``triangle_determinant``, or zero if a fixed entry is negative.
     """
     parts = check_k_bounded(parts, k)
-    ell = len(parts)
     t = multiplicities(parts, k)[0]
     if t not in (k - 1, k):
         raise ValueError("first-column multiplicity must be k-1 or k")
-    s = ell - t
+    s = len(parts) - t
     if any(p < 2 for p in parts[:s]):
         raise ValueError("rows above the unit column must have at least two boxes")
     windows = operator_windows(parts[:s], k)
     box = [(i, j) for i, window in enumerate(windows, start=1) for j in window]
     if len(box) > 20:
         raise ValueError("operator box too large for exhaustive expansion")
-    triangle = tuple(inversion_displacements(t, shift=s))
     for size in range(1, len(box) + 1):
         for x in combinations(box, size):
             if not any(j >= s + 1 for _i, j in x):
                 continue
             moved = raising_apply(x, parts)
-            if evaluate_displacements(triangle, moved) != 0:
+            if min(moved[:s]) >= 0 and triangle_determinant(moved[s:]) != 0:
                 return False
     return True

@@ -142,15 +142,11 @@ def weak_covers_bounded(parts: Parts, k: int) -> list[Parts]:
     parts = check_k_bounded(parts, k)
     conj_self = k_conjugate(parts, k)
     covers = []
-    # Addable corners sit in rows of distinct lengths, so no column repeats.
-    for row, _col in addable_corners(parts):
-        if row <= len(parts):
-            new_size = parts[row - 1] + 1
-            if new_size > k:
-                continue
-            mu = parts[: row - 1] + (new_size,) + parts[row:]
-        else:
-            mu = parts + (1,)
+    # A corner's column is its row's new length; rows differ, so no column repeats.
+    for row, col in addable_corners(parts):
+        if col > k:
+            continue
+        mu = parts[: row - 1] + (col,) + parts[row:]
         if contains(k_conjugate(mu, k), conj_self):
             covers.append(mu)
     return covers

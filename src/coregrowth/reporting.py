@@ -9,6 +9,7 @@ refused input raises ``UsageError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any
 
 THEOREM = "theorem"
@@ -60,8 +61,6 @@ class Report:
 
 
 def _jsonable(obj):
-    from fractions import Fraction
-
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):

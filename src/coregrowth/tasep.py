@@ -45,7 +45,11 @@ def word_to_string(word: Word) -> str:
 
 
 def word_from_string(text: str) -> Word:
-    return check_word(int(x) for x in text.split("-"))
+    try:
+        word = [int(x) for x in text.split("-")]
+    except ValueError:
+        raise ValueError(f"not a normalized word: {text!r}") from None
+    return check_word(word)
 
 
 @cache
@@ -55,10 +59,7 @@ def alpha_inv(parts: Parts, k: int) -> Word:
     l = multiplicities(parts, k)
     word = [k + 1]
     for i in range(k, 0, -1):
-        gap = word.index(i + 1)
-        for _ in range(l[i - 1]):
-            gap = gap - 1 if gap > 0 else len(word) - 1
-        word.insert(gap, i)
+        word.insert((word.index(i + 1) - l[i - 1]) % len(word), i)
     return tuple(word)
 
 

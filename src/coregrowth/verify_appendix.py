@@ -163,20 +163,18 @@ def _staircase_vectors(t: int, max_entry: int):
 
 def verify_long_columns(max_k: int) -> Report:
     """Exhaustive vanishing for unit columns of height k-1 and k."""
-    bad = None
-    for k in range(2, max_k + 1):
-        for state in enumerate_reduced_states(k):
-            if multiplicities(state, k)[0] != k - 1:
-                continue
-            extended = tuple(sorted(state + (1,), reverse=True))
-            if not long_column_vanishes(state, k):
-                bad = {"k": k, "partition": state, "ones": k - 1}
-                break
-            if not long_column_vanishes(extended, k):
-                bad = {"k": k, "partition": extended, "ones": k}
-                break
-        if bad:
-            break
+    bad = next(
+        (
+            {"k": k, "partition": parts, "ones": ones}
+            for k in range(2, max_k + 1)
+            for state in enumerate_reduced_states(k)
+            if multiplicities(state, k)[0] == k - 1
+            # a column of k-1 ones, and the same state with one more
+            for parts, ones in ((state, k - 1), (state + (1,), k))
+            if not long_column_vanishes(parts, k)
+        ),
+        None,
+    )
     return Report(
         "long-column-vanishing", THEOREM, bad is None, {"max_k": max_k}, bad
     )

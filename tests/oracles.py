@@ -142,6 +142,16 @@ def triangle_expand_inversions(t: int) -> tuple[tuple[frozenset[tuple[int, int]]
     return tuple(terms)
 
 
+def shifted_terms(terms, shift: int) -> list[tuple[frozenset[tuple[int, int]], int]]:
+    """``terms`` acting ``shift`` entries further on: every pair index raised by ``shift``.
+
+    The shifted inversion sets are the triangle over entries shift+1 ..
+    shift+t: the unit block below s rows whose value ``long_column_vanishes``
+    reads off the block's determinant instead.
+    """
+    return [(frozenset((i + shift, j + shift) for i, j in pairs), sign) for pairs, sign in terms]
+
+
 class LabelledChain(NamedTuple):
     """The reduced chain together with the bead class of each of the k+1 labels.
 

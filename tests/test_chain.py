@@ -599,3 +599,53 @@ def test_a_chain_without_the_conjugation_symmetry_falls_back(monkeypatch):
     assert calls[0] == _closed_form_candidate(skewed) == pi.values != exact  # rejected
     assert solved == [skewed]
     assert calls[-1] == exact  # the CRT solve's reconstruction, certified
+
+
+def _reweighted(k: int, state, weight) -> MarkovChain:
+    """The chain of ``build_chain(k)`` with the rates out of ``state`` set in proportion to ``weight``."""
+    mc = build_chain(k)
+    moves = [list(row) for row in mc.moves]
+    i = mc.state_index(state)
+    weights = [weight(m) for m in moves[i]]
+    moves[i] = [dataclasses.replace(m, rate=Fraction(w, sum(weights))) for m, w in zip(moves[i], weights)]
+    return MarkovChain(k, mc.states, moves)
+
+
+@pytest.mark.parametrize(
+    "k, changed, counts",
+    [
+        # (k, changed chain, calls of _solve_mod_p, _rational_reconstruct, _verify_stationary)
+        (3, "readme", (2, 6, 2)),
+        (3, "skew", (2, 6, 2)),
+        (4, "readme", (2, 24, 2)),
+        (4, "skew", (2, 24, 2)),
+        (5, "readme", (6, 125, 2)),
+        (5, "skew", (6, 167, 2)),
+    ],
+)
+def test_the_crt_solve_of_a_changed_chain_makes_the_recorded_calls(monkeypatch, k, changed, counts):
+    """Changed chains fall back to the CRT solve, which returns the Gauss pi.
+
+    "readme" weighs the moves out of (2,) as the README does, 1 for the one
+    that removes a rectangle and 3 for the others: 1/4 and 3/4 at k = 3,
+    where (2,) -> () removes one, and 1/2 each at k = 4, 5.  "skew" gives
+    (1,) the rates 1/3 and 2/3 of the conjugation-symmetry test.  The counts were
+    recorded when each new prime recombined all the stored residues again;
+    one CRT step per prime must make the same calls, including the
+    reconstructions cut short at the first state that fails.
+    """
+    if changed == "readme":
+        mc = _reweighted(k, (2,), lambda m: 1 if m.removed else 3)
+    else:
+        mc = _reweighted(k, (1,), lambda m: 1 if m.target == (2,) else 2)
+    seen = {name: 0 for name in ("_solve_mod_p", "_rational_reconstruct", "_verify_stationary")}
+    for name in seen:
+        original = getattr(chain_mod, name)
+
+        def counted(*args, _name=name, _original=original):
+            seen[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(chain_mod, name, counted)
+    assert stationary(mc).values == _solve_fraction_gauss(mc)
+    assert tuple(seen.values()) == counts

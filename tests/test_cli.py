@@ -168,6 +168,11 @@ def test_tasep_malformed(capsys):
     assert run_cli("tasep", "--k", "4", "--word", "1-1-2-3-5") == 2
     assert run_cli("tasep", "--k", "4", "--word", "1-2-3") == 2
     assert run_cli("tasep", "--k", "3") == 2
+    # an empty word is a word, and an empty piece is not a letter
+    for word in ("", "1--2-3-4"):
+        capsys.readouterr()
+        assert run_cli("tasep", "--k", "3", "--word", word) == 2
+        assert capsys.readouterr().err == f"error: not a normalized word: {word!r}\n"
 
 
 def test_verify_all_small(capsys, tmp_path):
@@ -404,6 +409,8 @@ def test_simulate_builds_the_chain_twice(tmp_path, capsys, monkeypatch):
         ["dims", "--k", "0"],
         ["tasep", "--k", "0", "--word", "1"],
         ["tasep", "--k", "3", "--word", "1-2-3-4", "--state", "1"],
+        ["tasep", "--k", "3", "--word", ""],
+        ["tasep", "--k", "3", "--word", "1--2-3-4"],
         ["verify", "--k", "0", "--suite", "appendix"],
         ["verify", "--k", "8"],
         ["verify", "--k", "8", "--suite", "conjectures"],

@@ -250,17 +250,13 @@ def test_displacements_match_direct_raising_moves():
             term_sets.append(triangle_expand_intervals(t, universe=t))
         for terms in term_sets:
             for shift in (0, 1, 3):
+                moved = oracles.shifted_terms(terms, shift)
                 for _ in range(5):
                     vec = tuple(rng.randint(-1, 5) for _ in range(rng.randint(1, t + shift + 2)))
-                    top = max([len(vec)] + [j + shift for pairs, _s in terms for _i, j in pairs])
+                    top = max([len(vec)] + [j for pairs, _s in moved for _i, j in pairs])
                     base = vec + (0,) * (top - len(vec))
-                    direct = sum(
-                        sign * h_coefficient(
-                            raising_apply([(i + shift, j + shift) for i, j in pairs], base)
-                        )
-                        for pairs, sign in terms
-                    )
-                    assert evaluate_displacements(term_displacements(terms, shift), vec) == direct
+                    direct = sum(sign * h_coefficient(raising_apply(pairs, base)) for pairs, sign in moved)
+                    assert evaluate_displacements(term_displacements(moved), vec) == direct
 
 
 def test_merged_displacements_sum_the_signs_of_equal_terms():
@@ -271,13 +267,13 @@ def test_merged_displacements_sum_the_signs_of_equal_terms():
             term_sets.append(triangle_expand_intervals(t, universe=t))
         for terms in term_sets:
             for shift in (0, 2):
-                top = max([0] + [j + shift for pairs, _s in terms for _i, j in pairs])
+                moved = oracles.shifted_terms(terms, shift)
+                top = max([0] + [j for pairs, _s in moved for _i, j in pairs])
                 counts = Counter()
-                for pairs, sign in terms:
-                    moves = [(i + shift, j + shift) for i, j in pairs]
-                    counts[raising_apply(moves, (0,) * top)] += sign
+                for pairs, sign in moved:
+                    counts[raising_apply(pairs, (0,) * top)] += sign
                 expected = {delta: sign for delta, sign in counts.items() if sign}
-                assert dict(term_displacements(terms, shift)) == expected
+                assert dict(term_displacements(moved)) == expected
 
 
 def test_inversion_and_naive_expansions_merge_to_one_map():
@@ -293,11 +289,18 @@ def test_inversion_and_naive_expansions_merge_to_one_map():
 
 
 def test_displacements_read_off_permutations_match_the_inversion_sets():
-    """Position minus value, signed by parity: the inversion sets' displacements, in order."""
+    """Position minus value, signed by parity: the inversion sets' displacements, in order.
+
+    Shifted sets give the same displacements after ``shift`` zeros, except
+    at t = 1, whose one empty set moves nothing.
+    """
     for t in range(1, 8):
         terms = triangle_expand_inversions(t)
+        by_perms = list(inversion_displacements(t))
         for shift in (0, 1, 3):
-            assert list(inversion_displacements(t, shift)) == list(term_displacements(terms, shift))
+            pad = (0,) * shift if t > 1 else ()
+            shifted = list(term_displacements(oracles.shifted_terms(terms, shift)))
+            assert [(pad + delta, sign) for delta, sign in by_perms] == shifted
     with pytest.raises(ValueError):
         list(inversion_displacements(0))
 
@@ -410,6 +413,35 @@ def test_triangle_vanishing_base_cases():
     assert not triangle_vanishes((5, 5, 5, 5), 3)
     with pytest.raises(ValueError):
         triangle_vanishes((1, 2), 3)
+
+
+def test_long_column_determinant_equals_the_shifted_inversion_expansion():
+    """The triangle over entries s+1 .. s+t is a multinomial times the block's determinant.
+
+    ``long_column_vanishes`` tests that product for zero instead of
+    evaluating the t! shifted displacements.  Seeded vectors with negative
+    entries, t = 1..5 and s = 0..4; a negative entry among the first s, or a
+    negative block sum, zeroes every term.
+    """
+    rng = random.Random(35)
+    nonzero = 0
+    for t in range(1, 6):
+        terms = triangle_expand_inversions(t)
+        for s in range(5):
+            shifted = tuple(term_displacements(oracles.shifted_terms(terms, s)))
+            for _ in range(150):
+                vec = tuple(rng.randint(-2, 4) for _ in range(s + t))
+                head, block = vec[:s], sum(vec[s:])
+                value = evaluate_displacements(shifted, vec)
+                if min(head, default=0) < 0 or block < 0:
+                    assert value == 0, vec
+                    continue
+                multinomial = factorial(sum(vec))
+                for m in head + (block,):
+                    multinomial //= factorial(m)
+                assert value == multinomial * triangle_determinant(vec[s:]), vec
+                nonzero += value != 0
+    assert nonzero > 500
 
 
 def test_long_column_vanishing():

@@ -34,6 +34,16 @@ CASES = {
         SIM_OUTPUTS,
         "a62c340dab26aff7202fb3e4b5cb9dd041718319e2b4a635bb5db25a0a801e65",
     ),
+    "dims-k6-all-reduced": (
+        ["dims", "--k", "6", "--all-reduced"],
+        (),
+        "20b2651dbcf18d8fa46566ecedb7a8790ac17b80abeb3a9e215bc5499e0b857a",
+    ),
+    "verify-k6-appendix": (
+        ["verify", "--k", "6", "--suite", "appendix"],
+        (),
+        "18f44c0960fc096317440d9797ec7a3793c7ada449e8d541be65bc3410a1d854",
+    ),
     "tasep-k4-empty": (
         ["tasep", "--k", "4", "--state", ""],
         (),
