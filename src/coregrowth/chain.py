@@ -60,7 +60,7 @@ from coregrowth.reporting import CONJECTURE, THEOREM, InvariantError, Report
 from coregrowth.tasep import alpha_inv, word_to_string
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One transition out of a state: grow ``column``, maybe drop a rectangle."""
 
@@ -183,8 +183,20 @@ def growth_steps(parts: Parts, k: int) -> list[Move]:
         column = grown_column(parts, cover)
         reduced, removed = step_target(l, column, k)
         rate = Fraction(dimensions.strong_dim_tableaux(cover, k), denominator)
-        out.append(Move(column, parts_from_multiplicities(reduced), removed, rate))
+        out.append(Move(column, _state(reduced, k), removed, rate))
     return out
+
+
+def _state(l: tuple[int, ...], k: int) -> Parts:
+    """The partition with multiplicities l, as the shared tuple of its state if it is one.
+
+    A state (l_i <= k - i) sits at its factorial index sum l_i (k-i)! in
+    ``enumerate_reduced_states(k)``.  Any other l gets a fresh tuple, which
+    ``MarkovChain`` then refuses as a target.
+    """
+    if any(m > k - i for i, m in enumerate(l, start=1)):
+        return parts_from_multiplicities(l)
+    return enumerate_reduced_states(k)[sum(m * factorial(k - i) for i, m in enumerate(l, start=1))]
 
 
 _CHAINS: dict[int, MarkovChain] = {}

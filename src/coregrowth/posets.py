@@ -1,11 +1,12 @@
 """Levels of bounded partitions and cores, and the weak and strong orders on them.
 
-``enumerate_bounded(k, n)`` lists the partitions of n with parts at most k,
-and ``cores_of_level(k, n)`` their (k+1)-cores in the same order.  Both are
-memoised per k and built one level at a time from the levels below: a
-partition is its first part on top of a partition already listed, and its
-core is one ``partitions.stack_row`` on that partition's core and first
-part, so no level inflates a partition or needs one listed.
+``cores_of_level(k, n)`` lists the (k+1)-cores whose bounded partitions
+have size n, memoised per k and built one level at a time from the levels
+below: a partition is its first part on top of a partition of a lower level,
+and its core is one ``partitions.stack_row`` on that partition's core and
+first part, so no level inflates a partition or needs one listed.
+``enumerate_bounded(k, n)`` reads the partitions of n with parts at most k
+off that level with ``core_to_bounded``, so both list a level in one order.
 
 On k-bounded partitions the weak order is box addition that is monotone for
 k-conjugation.  The strong order is plain containment of (k+1)-cores with the
@@ -22,6 +23,7 @@ from coregrowth.partitions import (
     EMPTY,
     Parts,
     check_k_bounded,
+    core_to_bounded,
     k_conjugate,
     stack_row,
 )
@@ -33,9 +35,9 @@ def contains(outer: Parts, inner: Parts) -> bool:
 
 
 class _Levels:
-    """The partitions of each size with parts at most k, and their (k+1)-cores.
+    """The (k+1)-cores of the partitions of each size with parts at most k.
 
-    Level n lists its ``sizes[n]`` partitions by first part, largest first,
+    Level n lists its partitions' cores by first part, largest first,
     and ``starts[n][f]`` (f <= min(k, n)) is where those with first part at
     most f begin.  A partition of n with first part f is f on top of a
     partition of n - f with parts at most f: the tail of level n - f from
@@ -47,33 +49,15 @@ class _Levels:
     def __init__(self, k: int):
         self.k = k
         self.starts: list[list[int]] = [[0]]
-        self.sizes: list[int] = [1]
-        self.bounded: list[tuple[Parts, ...]] = [(EMPTY,)]
         self.cores: list[tuple[Parts, ...]] = [(EMPTY,)]
 
-    def starts_up_to(self, n: int) -> None:
-        for m in range(len(self.starts), n + 1):
-            at = [0] * (min(self.k, m) + 1)
-            for f in range(len(at) - 1, 0, -1):
-                at[f - 1] = at[f] + self.sizes[m - f] - self.starts[m - f][min(f, m - f)]
-            self.starts.append(at)
-            self.sizes.append(at[0])
-
-    def bounded_up_to(self, n: int) -> tuple[Parts, ...]:
-        self.starts_up_to(n)
-        k, bounded, starts = self.k, self.bounded, self.starts
-        for m in range(len(bounded), n + 1):
-            level: list[Parts] = []
-            for f in range(min(k, m), 0, -1):
-                tail = starts[m - f][min(f, m - f)]
-                level += [(f,) + rest for rest in bounded[m - f][tail:]]
-            bounded.append(tuple(level))
-        return bounded[n]
-
     def cores_up_to(self, n: int) -> tuple[Parts, ...]:
-        self.starts_up_to(n)
         k, starts, cores = self.k, self.starts, self.cores
         for m in range(len(cores), n + 1):
+            here = [0] * (min(k, m) + 1)
+            for f in range(len(here) - 1, 0, -1):
+                here[f - 1] = here[f] + len(cores[m - f]) - starts[m - f][min(f, m - f)]
+            starts.append(here)
             level: list[Parts] = []
             for f in range(min(k, m), 0, -1):
                 below, at = cores[m - f], starts[m - f]
@@ -87,22 +71,22 @@ class _Levels:
 _LEVELS: dict[int, _Levels] = {}
 
 
-def _levels(k: int, n: int) -> _Levels:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k not in _LEVELS:
-        _LEVELS[k] = _Levels(k)
-    return _LEVELS[k]
-
-
 def enumerate_bounded(k: int, n: int) -> tuple[Parts, ...]:
-    """All partitions of n with parts <= k, largest part first."""
-    return _levels(k, n).bounded_up_to(n)
+    """All partitions of n with parts <= k, largest part first.
+
+    Read off ``cores_of_level(k, n)`` and not kept: each call deflates the
+    level's cores again.
+    """
+    return tuple(core_to_bounded(core, k) for core in cores_of_level(k, n))
 
 
 def cores_of_level(k: int, n: int) -> tuple[Parts, ...]:
     """The (k+1)-cores whose bounded image has size n, in the order of ``enumerate_bounded``."""
-    return _levels(k, n).cores_up_to(n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if k not in _LEVELS:
+        _LEVELS[k] = _Levels(k)
+    return _LEVELS[k].cores_up_to(n)
 
 
 # --- weak order ---------------------------------------------------------

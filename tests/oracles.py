@@ -26,6 +26,17 @@ def conjugate(parts: Parts) -> Parts:
     return tuple(cols)
 
 
+def bounded_partitions(k: int, n: int) -> list[Parts]:
+    """The partitions of n with parts at most k, by first part, largest first.
+
+    A plain recursion on the first part f, with the partitions of n - f with
+    parts at most f in the same order after it: no core is built.
+    """
+    if n == 0:
+        return [()]
+    return [(f,) + rest for f in range(min(k, n), 0, -1) for rest in bounded_partitions(f, n - f)]
+
+
 def is_core(parts: Parts, r: int) -> bool:
     """True iff no cell has hook length exactly r."""
     if r < 2:

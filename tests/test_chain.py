@@ -8,7 +8,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,13 @@ from coregrowth.chain import (
     verify_stationarity_identity,
 )
 from coregrowth.dimensions import hook_dim, strong_dim_tableaux
-from coregrowth.partitions import EMPTY, complement, factorial_index, k_conjugate
+from coregrowth.partitions import (
+    EMPTY,
+    complement,
+    enumerate_reduced_states,
+    factorial_index,
+    k_conjugate,
+)
 from coregrowth.posets import enumerate_bounded
 from coregrowth.reporting import InvariantError
 
@@ -471,6 +477,35 @@ def test_build_chain_certifies_each_row_in_integers(monkeypatch, fresh_memos):
         build_chain(3)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_the_row_sums_refuse_a_wrong_d_on_any_state(monkeypatch, fresh_memos, k):
+    """One state's d, one too large where the chain reads it, breaks a row sum.
+
+    So the integer row check of ``build_chain`` catches a wrong d on any
+    state: a state's d is the denominator of its row.
+    """
+    strong_dim = chain_mod.dimensions.strong_dim_tableaux
+    for planted in enumerate_reduced_states(k):
+
+        def wrong_at_planted(lam, k):
+            return strong_dim(lam, k) + (lam == planted)
+
+        monkeypatch.setattr(chain_mod.dimensions, "strong_dim_tableaux", wrong_at_planted)
+        with pytest.raises(InvariantError, match=r"row of .* sums to .*, not 1"):
+            build_chain(k)
+    monkeypatch.setattr(chain_mod.dimensions, "strong_dim_tableaux", strong_dim)
+    assert build_chain(k).size == factorial(k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_every_target_is_the_states_own_tuple(k):
+    """``growth_steps`` hands each move the state tuple itself, not an equal copy."""
+    mc = build_chain(k)
+    for moves in mc.moves:
+        for move in moves:
+            assert mc.states[mc.index[move.target]] is move.target
+
+
 def test_certificate_rejects_each_kind_of_wrong_vector(chain3):
     """The integer certificate refuses a vector off by its sum, its sign or its balance."""
     mc, pi = chain3
@@ -565,6 +600,38 @@ def test_dimensions_factor_over_a_rectangle(k):
                 assert strong_dim_tableaux(union, k) == product, (lam, i)
                 cases += 1
     assert cases == {2: 50, 3: 123, 4: 212, 5: 300}[k]  # 685 in all
+
+
+def rectangle_product(k):
+    """sf(k) prod_r D(R_r), with sf(k) = 1! 2! ... k! and D(lam) = d(lam) / |lam|!."""
+    out = Fraction(prod(factorial(j) for j in range(1, k + 1)))
+    for r in range(1, k + 1):
+        rect = oracles.rectangle(r, k)
+        out *= Fraction(strong_dim_tableaux(rect, k), factorial(sum(rect)))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_the_normaliser_is_the_rectangle_product(k):
+    """Conjecture check (README): Z = N! M_k sf(k) prod_r D(R_r) / (k+1).
+
+    Z = sum_s C(N, |s|) d(s) d(s^c) is the sum that ``_closed_form_candidate``
+    divides by, with N = C(k+1, 3).
+    """
+    mc = build_chain(k)
+    total = comb(k + 1, 3)
+    dims = [strong_dim_tableaux(s, k) for s in mc.states]
+    z = sum(comb(total, sum(s)) * d * d_comp for s, d, d_comp in zip(mc.states, dims, reversed(dims)))
+    assert z == factorial(total) * mk_constant(k) * rectangle_product(k) / (k + 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_mk_times_pi_is_an_integer_with_the_predicted_minimum(k):
+    """Conjecture checks (README): A(s) = M_k pi(s) is an integer, least at (k+1) prod_j C(k, j)."""
+    pi = stationary(build_chain(k))
+    scaled = [mk_constant(k) * v for v in pi.values]
+    assert all(a.denominator == 1 for a in scaled)
+    assert min(scaled) == (k + 1) * prod(comb(k, j) for j in range(1, k + 1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

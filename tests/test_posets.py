@@ -26,6 +26,7 @@ from coregrowth.posets import (
 )
 from coregrowth.dimensions import hook_dim
 
+import oracles
 from oracles import is_core
 
 
@@ -149,24 +150,32 @@ def test_a_fresh_level_stacks_one_row_per_core(monkeypatch, k):
 def test_a_level_of_cores_builds_no_bounded_partition(monkeypatch, k):
     """The cores come from the cores below and ``starts`` alone, up to the chain's top level.
 
-    The bounded levels, built after the cores or before them, are the same
-    and still inflate to the cores element for element.
+    They inflate the recursive oracle's partitions element for element, and
+    the bounded partitions read off them are the oracle's, whether the
+    levels were first built for the cores or for ``enumerate_bounded``.
     """
     top = max(map(sum, partitions.enumerate_reduced_states(k))) + 1
 
-    def forbidden(self, n):
-        raise AssertionError(f"the cores built the bounded partitions of level {n}")
+    def forbidden(core, k):
+        raise AssertionError(f"a level of cores deflated {core!r}")
 
     monkeypatch.setattr(posets, "_LEVELS", {})
     with monkeypatch.context() as patch:
-        patch.setattr(posets._Levels, "bounded_up_to", forbidden)
+        patch.setattr(posets, "core_to_bounded", forbidden)
         cores_of_level(k, top)
         cores = [cores_of_level(k, n) for n in range(top + 1)]
-    after = [enumerate_bounded(k, n) for n in range(top + 1)]
-    assert cores == [tuple(bounded_to_core(b, k) for b in level) for level in after]
+    oracle = [tuple(oracles.bounded_partitions(k, n)) for n in range(top + 1)]
+    assert cores == [tuple(bounded_to_core(b, k) for b in level) for level in oracle]
+    assert [enumerate_bounded(k, n) for n in range(top + 1)] == oracle
     monkeypatch.setattr(posets, "_LEVELS", {})
-    assert [enumerate_bounded(k, n) for n in range(top + 1)] == after
+    assert [enumerate_bounded(k, n) for n in range(top + 1)] == oracle
     assert [cores_of_level(k, n) for n in range(top + 1)] == cores
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_enumerate_bounded_matches_the_recursive_enumeration(k):
+    for n in range(17):
+        assert enumerate_bounded(k, n) == tuple(oracles.bounded_partitions(k, n))
 
 
 def test_weak_covers_core_examples():
